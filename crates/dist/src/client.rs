@@ -1,7 +1,5 @@
 //! Typed RPC helpers and the job-submission client.
 
-use std::time::Duration;
-
 use dasc_mapreduce::ClusterConfig;
 use dasc_net::{Client, ClientConfig};
 
@@ -28,10 +26,9 @@ pub fn rpc(client: &mut Client, msg: &Msg) -> Result<Msg, String> {
         .map_err(|e| format!("bad reply from {}: {e}", client.addr()))
 }
 
-/// Submit a DASC job to a coordinator and poll it to completion.
+/// Submit a DASC job to a coordinator and wait for it to complete.
 pub struct JobClient {
     client: Client,
-    poll_interval: Duration,
     last_job_id: Option<u64>,
 }
 
@@ -41,13 +38,17 @@ impl JobClient {
     pub fn connect(addr: impl Into<String>, cluster: &ClusterConfig) -> Self {
         Self {
             client: Client::new(addr, client_config(cluster)),
-            poll_interval: cluster.heartbeat_interval / 2,
             last_job_id: None,
         }
     }
 
     /// Submit `spec`, block until the job finishes, return the outcome.
-    /// `progress` is called on every poll with `(stage, done, total)`.
+    ///
+    /// Waiting is a `PollJob` long-poll: the coordinator replies the
+    /// moment the job finishes, so there is no client-side sleep.
+    /// `progress` is called with `(stage, done, total)` on every
+    /// still-running reply (at most one per park deadline, i.e. the
+    /// coordinator's `heartbeat_interval`) and once on completion.
     pub fn run(
         &mut self,
         spec: JobSpec,
@@ -65,10 +66,7 @@ impl JobClient {
                     stage: s,
                     done,
                     total,
-                } => {
-                    progress(s, done, total);
-                    std::thread::sleep(self.poll_interval);
-                }
+                } => progress(s, done, total),
                 Msg::JobResult { outcome } => {
                     progress(stage::FINISH, outcome.assignments.len() as u64, 0);
                     return Ok(outcome);

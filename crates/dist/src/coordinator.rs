@@ -29,13 +29,20 @@
 //! declared dead and its in-flight tasks re-queue with `attempt + 1`;
 //! a task exhausting `max_task_attempts` fails the job. Stale results
 //! from resurrected attempts are ignored unless the reporting worker
-//! still owns the in-flight entry.
+//! still owns the in-flight entry. A worker that comes back under a
+//! forgotten id is told so ([`Msg::UnknownWorker`]) and re-registers.
+//!
+//! Dispatch is long-polled rather than sleep-driven: `RequestTask` and
+//! `PollJob` park on the state condvar (on their `dasc-net` connection
+//! thread) until there is something to report, so a queued task or a
+//! finished job reaches its waiter at once. Every path that queues a
+//! task or changes a job's state notifies that condvar.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dasc_core::{bucket_cluster_count, consolidate, stitch_distributed, Clustering};
@@ -126,6 +133,14 @@ impl Coordinator {
         let state = self.server.service().state.inner.lock().expect("state");
         state.workers.len()
     }
+}
+
+/// How long a long-poll (`RequestTask`, `PollJob`) parks before it
+/// replies "nothing yet": the heartbeat interval, clamped to half the
+/// RPC read timeout so the reply always lands before the caller's
+/// transport gives up on it.
+fn park_deadline(cluster: &ClusterConfig) -> Duration {
+    cluster.heartbeat_interval.min(cluster.rpc_read_timeout / 2)
 }
 
 struct CoordinatorService {
@@ -295,11 +310,72 @@ impl JobTrace {
     }
 }
 
+impl State {
+    /// Hand the next pending task to `worker_id`: record it in flight
+    /// and, for a tracing job, close its queued-wait span.
+    fn assign_next(&mut self, worker_id: u64, assignee: &str) -> Option<Task> {
+        let task = self.pending.pop_front()?;
+        dasc_obs::global().inc("dasc_dist_tasks_assigned_total", 1);
+        if task.trace_parent != 0 {
+            if let Some(tr) = self.traces.get_mut(&task.job_id) {
+                tr.touch_lane(assignee);
+                if let Some(queued) = tr.queued_at.remove(&task.task_id) {
+                    let now = tr.ts();
+                    tr.push_span(
+                        format!("task {} queued", task.task_id),
+                        task.trace_parent,
+                        queued,
+                        now.saturating_sub(queued),
+                    );
+                }
+            }
+        }
+        self.in_flight.insert(
+            task.task_id,
+            InFlight {
+                worker_id,
+                task: task.clone(),
+                assigned_at: Instant::now(),
+            },
+        );
+        Some(task)
+    }
+}
+
 impl SharedState {
     fn shutdown(&self) {
         let mut state = self.inner.lock().expect("state");
         state.shutting_down = true;
         self.changed.notify_all();
+    }
+
+    /// Park a long-poll until the next state change or `deadline`,
+    /// releasing the lock meanwhile. `None` once the deadline has passed.
+    fn park<'a>(
+        &self,
+        state: MutexGuard<'a, State>,
+        deadline: Instant,
+    ) -> Option<MutexGuard<'a, State>> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        Some(self.changed.wait_timeout(state, left).expect("state").0)
+    }
+
+    /// Declare lost every worker silent for longer than `timeout`;
+    /// returns how many.
+    fn expire_silent(&self, state: &mut State, timeout: Duration, why: &str) -> usize {
+        let silent: Vec<u64> = state
+            .workers
+            .iter()
+            .filter(|(_, w)| w.last_seen.elapsed() > timeout)
+            .map(|(&id, _)| id)
+            .collect();
+        for &id in &silent {
+            self.declare_lost(state, id, why);
+        }
+        silent.len()
     }
 
     /// Declare a worker dead: drop it and re-queue its in-flight tasks
@@ -525,16 +601,11 @@ impl SharedState {
                 .expect("state");
             state = next;
             // The sweep needs the lock we hold; do it inline.
-            let timeout = self.cluster.worker_liveness_timeout;
-            let silent: Vec<u64> = state
-                .workers
-                .iter()
-                .filter(|(_, w)| w.last_seen.elapsed() > timeout)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in silent {
-                self.declare_lost(&mut state, id, "missed heartbeats");
-            }
+            self.expire_silent(
+                &mut state,
+                self.cluster.worker_liveness_timeout,
+                "missed heartbeats",
+            );
             self.sweep_stragglers(&state);
         }
     }
@@ -624,63 +695,56 @@ impl CoordinatorService {
             Msg::Heartbeat { worker_id, metrics } => {
                 reg.inc("dasc_dist_heartbeats_total", 1);
                 let mut state = shared.inner.lock().expect("state");
-                if let Some(w) = state.workers.get_mut(&worker_id) {
-                    let lag = w.last_seen.elapsed();
-                    reg.observe("dasc_dist_heartbeat_lag_us", lag.as_micros() as u64);
-                    w.last_seen = Instant::now();
-                    // Federation: retain the latest snapshot under the
-                    // worker's *name* so the series outlive the worker.
-                    if !metrics.is_empty() {
-                        let name = w.name.clone();
-                        state.worker_metrics.insert(name, metrics);
-                    }
+                let Some(w) = state.workers.get_mut(&worker_id) else {
+                    return Msg::UnknownWorker { worker_id };
+                };
+                let lag = w.last_seen.elapsed();
+                reg.observe("dasc_dist_heartbeat_lag_us", lag.as_micros() as u64);
+                w.last_seen = Instant::now();
+                // Federation: retain the latest snapshot under the
+                // worker's *name* so the series outlive the worker.
+                if !metrics.is_empty() {
+                    let name = w.name.clone();
+                    state.worker_metrics.insert(name, metrics);
                 }
                 Msg::HeartbeatAck
             }
             Msg::RequestTask { worker_id } => {
+                let deadline = Instant::now() + park_deadline(&shared.cluster);
                 let mut state = shared.inner.lock().expect("state");
                 let Some(w) = state.workers.get_mut(&worker_id) else {
-                    // Unknown (e.g. previously declared dead): make it
-                    // back off; re-registration is its own call.
-                    return Msg::NoTask {
-                        backoff_ms: shared.cluster.heartbeat_interval.as_millis() as u64,
-                    };
+                    // Declared lost (or never registered): a typed reply
+                    // so the worker re-registers instead of idling.
+                    return Msg::UnknownWorker { worker_id };
                 };
                 w.last_seen = Instant::now();
                 w.task_conn = Some(conn);
                 let assignee = w.name.clone();
-                match state.pending.pop_front() {
-                    Some(task) => {
-                        reg.inc("dasc_dist_tasks_assigned_total", 1);
-                        // Close the queued-wait span for a tracing job:
-                        // enqueue → assignment, on the coordinator lane.
-                        if task.trace_parent != 0 {
-                            if let Some(tr) = state.traces.get_mut(&task.job_id) {
-                                tr.touch_lane(&assignee);
-                                if let Some(queued) = tr.queued_at.remove(&task.task_id) {
-                                    let now = tr.ts();
-                                    tr.push_span(
-                                        format!("task {} queued", task.task_id),
-                                        task.trace_parent,
-                                        queued,
-                                        now.saturating_sub(queued),
-                                    );
-                                }
-                            }
+                loop {
+                    // Re-checked on every wake-up: the worker may have
+                    // been declared lost while parked, or have re-asked
+                    // on a newer connection that now owns its tasks.
+                    match state.workers.get(&worker_id) {
+                        None => return Msg::UnknownWorker { worker_id },
+                        Some(w) if w.task_conn != Some(conn) => {
+                            return Msg::NoTask { backoff_ms: 0 }
                         }
-                        state.in_flight.insert(
-                            task.task_id,
-                            InFlight {
-                                worker_id,
-                                task: task.clone(),
-                                assigned_at: Instant::now(),
-                            },
-                        );
-                        Msg::AssignTask { task }
+                        Some(_) => {}
                     }
-                    None => Msg::NoTask {
-                        backoff_ms: shared.cluster.heartbeat_interval.as_millis() as u64 / 2,
-                    },
+                    if state.shutting_down {
+                        // Back off like a reconnect: this coordinator is
+                        // going away, and re-asking at once would spin.
+                        return Msg::NoTask {
+                            backoff_ms: shared.cluster.rpc_backoff_base.as_millis().max(1) as u64,
+                        };
+                    }
+                    if let Some(task) = state.assign_next(worker_id, &assignee) {
+                        return Msg::AssignTask { task };
+                    }
+                    state = match shared.park(state, deadline) {
+                        Some(next) => next,
+                        None => return Msg::NoTask { backoff_ms: 0 },
+                    };
                 }
             }
             Msg::TaskDone {
@@ -798,22 +862,38 @@ impl CoordinatorService {
                 Msg::JobAccepted { job_id }
             }
             Msg::PollJob { job_id } => {
-                let state = shared.inner.lock().expect("state");
-                match state.jobs.get(&job_id) {
-                    Some(JobState::Running { stage, done, total }) => Msg::JobPending {
-                        stage: *stage,
-                        done: *done,
-                        total: *total,
-                    },
-                    Some(JobState::Done(outcome)) => Msg::JobResult {
-                        outcome: outcome.clone(),
-                    },
-                    Some(JobState::Failed(message)) => Msg::JobError {
-                        message: message.clone(),
-                    },
-                    None => Msg::JobError {
-                        message: format!("unknown job {job_id}"),
-                    },
+                let deadline = Instant::now() + park_deadline(&shared.cluster);
+                let mut state = shared.inner.lock().expect("state");
+                loop {
+                    let pending = match state.jobs.get(&job_id) {
+                        Some(&JobState::Running { stage, done, total }) => {
+                            Msg::JobPending { stage, done, total }
+                        }
+                        Some(JobState::Done(outcome)) => {
+                            return Msg::JobResult {
+                                outcome: outcome.clone(),
+                            }
+                        }
+                        Some(JobState::Failed(message)) => {
+                            return Msg::JobError {
+                                message: message.clone(),
+                            }
+                        }
+                        None => {
+                            return Msg::JobError {
+                                message: format!("unknown job {job_id}"),
+                            }
+                        }
+                    };
+                    if state.shutting_down {
+                        return Msg::JobError {
+                            message: "coordinator shutting down".to_string(),
+                        };
+                    }
+                    state = match shared.park(state, deadline) {
+                        Some(next) => next,
+                        None => return pending,
+                    };
                 }
             }
             Msg::ShardRequest { dataset, shard } => {
@@ -1160,4 +1240,124 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
         shuffle_bytes,
         task_retries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{client_config, rpc};
+    use crate::{worker, JobClient, WorkerOptions};
+    use dasc_core::{Dasc, DascConfig};
+    use dasc_data::SyntheticConfig;
+    use dasc_net::Client;
+
+    fn worker_ids(coordinator: &Coordinator) -> Vec<u64> {
+        let state = coordinator
+            .server
+            .service()
+            .state
+            .inner
+            .lock()
+            .expect("state");
+        state.workers.keys().copied().collect()
+    }
+
+    #[test]
+    fn park_deadline_is_clamped_below_the_read_timeout() {
+        let emr = ClusterConfig::emr_default();
+        assert_eq!(park_deadline(&emr), emr.heartbeat_interval);
+
+        // A heartbeat at or above the read timeout: unclamped, every
+        // idle long-poll would outlast the caller's read and fail as a
+        // transport timeout.
+        let mut cluster = ClusterConfig::emr(2);
+        cluster.heartbeat_interval = Duration::from_secs(2);
+        cluster.rpc_read_timeout = Duration::from_secs(1);
+        assert_eq!(park_deadline(&cluster), Duration::from_millis(500));
+
+        let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("start");
+        let mut client = Client::new(coordinator.addr().to_string(), client_config(&cluster));
+        let Ok(Msg::RegisterAck { worker_id, .. }) = rpc(
+            &mut client,
+            &Msg::Register {
+                name: "idle".into(),
+            },
+        ) else {
+            panic!("register failed");
+        };
+        let began = Instant::now();
+        let reply = rpc(&mut client, &Msg::RequestTask { worker_id });
+        let waited = began.elapsed();
+        assert_eq!(reply, Ok(Msg::NoTask { backoff_ms: 0 }));
+        assert!(
+            waited >= Duration::from_millis(400) && waited < cluster.rpc_read_timeout,
+            "parked {waited:?}"
+        );
+        coordinator.shutdown();
+    }
+
+    #[test]
+    fn expired_worker_re_registers_and_runs_a_later_job() {
+        // A worker the coordinator has forgotten must not idle forever
+        // under its old id: it re-registers and keeps pulling work.
+        let points = SyntheticConfig::blobs(300, 8, 3).seed(11).generate().points;
+        let config = DascConfig::for_dataset(points.len(), 3);
+        let want = Dasc::new(config.clone())
+            .run_distributed(&points, &ClusterConfig::emr_default())
+            .clustering;
+        let spec = JobSpec {
+            data: JobData::Inline { points },
+            k: config.k,
+            kernel: config.kernel,
+            num_bits: 0,
+            seed: config.seed,
+            consolidate: config.consolidate,
+            collect_trace: false,
+        };
+
+        let mut cluster = ClusterConfig::emr(2);
+        cluster.records_per_split = 64;
+        cluster.heartbeat_interval = Duration::from_millis(50);
+        let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("start");
+        let addr = coordinator.addr().to_string();
+        let w = worker::spawn(&addr, WorkerOptions::named("phoenix"));
+        let await_registered = || {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            loop {
+                let ids = worker_ids(&coordinator);
+                if ids.len() == 1 {
+                    return ids[0];
+                }
+                assert!(Instant::now() < give_up, "worker never registered");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let first_id = await_registered();
+
+        let mut client = JobClient::connect(&addr, &cluster);
+        let first = client.run(spec.clone(), |_, _, _| {}).expect("first job");
+        assert_eq!(first.assignments, want.assignments);
+
+        // Forget the worker, as the liveness sweep would after silence.
+        {
+            let shared = &coordinator.server.service().state;
+            let mut state = shared.inner.lock().expect("state");
+            assert_eq!(
+                shared.expire_silent(&mut state, Duration::ZERO, "expired"),
+                1
+            );
+        }
+        let second_id = await_registered();
+        assert_ne!(second_id, first_id, "the worker must register afresh");
+
+        let second = client
+            .run(spec, |_, _, _| {})
+            .expect("job after re-registration");
+        assert_eq!(second.assignments, want.assignments);
+        assert_eq!(second.num_clusters, want.num_clusters);
+        assert_eq!(second.workers_used, 1);
+
+        w.shutdown().expect("worker");
+        coordinator.shutdown();
+    }
 }

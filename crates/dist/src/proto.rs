@@ -37,6 +37,12 @@
 //! | 20  | TraceReply     | reply                |
 //! | 21  | ShardRequest   | worker → coordinator |
 //! | 22  | ShardReply     | reply                |
+//! | 23  | UnknownWorker  | reply                |
+//!
+//! `RequestTask` and `PollJob` are long-polls: when there is nothing to
+//! report yet, the coordinator parks the request until there is, or
+//! until one deadline passes (`heartbeat_interval`, clamped to half the
+//! RPC read timeout), instead of making the caller sleep and re-ask.
 //!
 //! Observability rides the same frames: tasks carry a trace context
 //! ([`Task::trace_parent`]), completed tasks return their span log
@@ -75,6 +81,7 @@ pub enum MsgType {
     TraceReply = 20,
     ShardRequest = 21,
     ShardReply = 22,
+    UnknownWorker = 23,
 }
 
 impl MsgType {
@@ -103,6 +110,7 @@ impl MsgType {
             20 => MsgType::TraceReply,
             21 => MsgType::ShardRequest,
             22 => MsgType::ShardReply,
+            23 => MsgType::UnknownWorker,
             _ => return None,
         })
     }
@@ -127,11 +135,16 @@ pub enum Msg {
     },
     /// Heartbeat reply.
     HeartbeatAck,
-    /// Worker asks for work (the Hadoop pull model).
+    /// Worker asks for work (the Hadoop pull model). A long-poll: with
+    /// no task pending, the coordinator holds the request until one is
+    /// queued, the worker is declared lost, shutdown starts, or the
+    /// park deadline passes.
     RequestTask { worker_id: u64 },
     /// Coordinator hands out one task.
     AssignTask { task: Task },
-    /// Nothing to do right now; ask again after `backoff_ms`.
+    /// Nothing to do right now; ask again after `backoff_ms`. A parked
+    /// `RequestTask` whose deadline passed replies `backoff_ms == 0`:
+    /// ask again at once (the wait already happened on the coordinator).
     NoTask { backoff_ms: u64 },
     /// Worker ships a completed task's output plus the span log the
     /// task body recorded under its trace context (empty when the task
@@ -150,7 +163,9 @@ pub enum Msg {
     SubmitJob { spec: JobSpec },
     /// Coordinator accepted the job.
     JobAccepted { job_id: u64 },
-    /// Job client polls for completion.
+    /// Job client polls for completion. A long-poll: the reply comes
+    /// when the job finishes or fails, or as [`JobPending`](Msg::JobPending)
+    /// after at most one park deadline.
     PollJob { job_id: u64 },
     /// Job still running: which stage, and task progress within it.
     JobPending { stage: u8, done: u64, total: u64 },
@@ -180,6 +195,11 @@ pub enum Msg {
     /// against the manifest's per-shard checksum before use, so a
     /// corrupt or substituted reply can never enter a computation.
     ShardReply { bytes: Vec<u8> },
+    /// Reply to a worker-scoped request carrying an id the coordinator
+    /// does not know (never registered, or declared lost after missed
+    /// heartbeats or a dropped task connection). The worker must
+    /// register again and use its new id.
+    UnknownWorker { worker_id: u64 },
 }
 
 /// Largest merged trace JSON the coordinator will put on the wire —
@@ -829,6 +849,7 @@ impl Msg {
             Msg::TraceReply { .. } => MsgType::TraceReply,
             Msg::ShardRequest { .. } => MsgType::ShardRequest,
             Msg::ShardReply { .. } => MsgType::ShardReply,
+            Msg::UnknownWorker { .. } => MsgType::UnknownWorker,
         }
     }
 
@@ -849,7 +870,9 @@ impl Msg {
                 encode_metrics(metrics, &mut w);
             }
             Msg::HeartbeatAck | Msg::TaskAck | Msg::MetricsRequest => {}
-            Msg::RequestTask { worker_id } => w.put_u64(*worker_id),
+            Msg::RequestTask { worker_id } | Msg::UnknownWorker { worker_id } => {
+                w.put_u64(*worker_id)
+            }
             Msg::AssignTask { task } => task.encode(&mut w),
             Msg::NoTask { backoff_ms } => w.put_u64(*backoff_ms),
             Msg::TaskDone {
@@ -954,6 +977,9 @@ impl Msg {
                 shard: r.u32()?,
             },
             MsgType::ShardReply => Msg::ShardReply { bytes: r.blob()? },
+            MsgType::UnknownWorker => Msg::UnknownWorker {
+                worker_id: r.u64()?,
+            },
         };
         r.finish()?;
         Ok(msg)
@@ -1102,6 +1128,8 @@ mod tests {
                 task: reduce_ref_task,
             },
             Msg::NoTask { backoff_ms: 250 },
+            Msg::NoTask { backoff_ms: 0 },
+            Msg::UnknownWorker { worker_id: 9 },
             Msg::TaskDone {
                 worker_id: 9,
                 task_id: 42,

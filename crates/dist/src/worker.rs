@@ -3,7 +3,11 @@
 //! On start the worker registers, spawns a heartbeat thread on its own
 //! connection, then loops: `RequestTask` → execute → `TaskDone` (or
 //! `TaskFailed` if the task body panicked — the same failure unit as
-//! the in-process engine's catch-unwind retry). Task bodies run the
+//! the in-process engine's catch-unwind retry). `RequestTask` is a
+//! long-poll, so an idle worker simply asks again when the coordinator
+//! replies `NoTask { backoff_ms: 0 }`; if the coordinator has forgotten
+//! the worker (declared it lost), the worker registers again and
+//! carries on under its new id. Task bodies run the
 //! *existing* `dasc-mapreduce` mapper/reducer machinery locally, so a
 //! worker process is literally one Hadoop task tracker's worth of the
 //! in-process engine, and its numerics are shared code with the
@@ -27,7 +31,7 @@
 //! worker holding an in-flight task, exactly like a crashed machine.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -206,32 +210,23 @@ pub fn run_worker(
     let config = client_config(&options.cluster);
     let mut client = Client::new(coordinator_addr, config.clone());
 
-    let (worker_id, heartbeat_interval_ms) = match rpc(
-        &mut client,
-        &Msg::Register {
-            name: options.name.clone(),
-        },
-    )? {
-        Msg::RegisterAck {
-            worker_id,
-            heartbeat_interval_ms,
-        } => (worker_id, heartbeat_interval_ms),
-        other => return Err(format!("unexpected register reply: {other:?}")),
-    };
+    let (id, heartbeat_interval_ms) = register(&mut client, &options.name)?;
+    // Shared with the heartbeat thread, which follows re-registrations.
+    let worker_id = Arc::new(AtomicU64::new(id));
 
     // Heartbeats ride a dedicated connection so a long-running task
     // body never starves liveness.
     let heartbeat = spawn_heartbeat(
         coordinator_addr.to_string(),
         config,
-        worker_id,
+        Arc::clone(&worker_id),
         Duration::from_millis(heartbeat_interval_ms.max(10)),
         options.telemetry,
         Arc::clone(stop),
     );
 
     let shard_source = ShardSource::new(coordinator_addr, &options.cluster);
-    let result = pull_loop(&mut client, worker_id, options, &shard_source, stop);
+    let result = pull_loop(&mut client, &worker_id, options, &shard_source, stop);
 
     // Whatever ended the loop, stop heartbeating so the coordinator's
     // liveness sweep can reclaim our tasks.
@@ -241,10 +236,26 @@ pub fn run_worker(
     result
 }
 
+/// Register under `name`; returns `(worker_id, heartbeat_interval_ms)`.
+fn register(client: &mut Client, name: &str) -> Result<(u64, u64), String> {
+    match rpc(
+        client,
+        &Msg::Register {
+            name: name.to_string(),
+        },
+    )? {
+        Msg::RegisterAck {
+            worker_id,
+            heartbeat_interval_ms,
+        } => Ok((worker_id, heartbeat_interval_ms)),
+        other => Err(format!("unexpected register reply: {other:?}")),
+    }
+}
+
 fn spawn_heartbeat(
     addr: String,
     config: ClientConfig,
-    worker_id: u64,
+    worker_id: Arc<AtomicU64>,
     interval: Duration,
     telemetry: bool,
     stop: Arc<AtomicBool>,
@@ -261,6 +272,7 @@ fn spawn_heartbeat(
             } else {
                 MetricsSnapshot::default()
             };
+            let worker_id = worker_id.load(Ordering::SeqCst);
             let _ = rpc(&mut client, &Msg::Heartbeat { worker_id, metrics });
             // Sleep in small slices so shutdown isn't delayed by a
             // long heartbeat interval.
@@ -274,7 +286,7 @@ fn spawn_heartbeat(
 
 fn pull_loop(
     client: &mut Client,
-    worker_id: u64,
+    worker_id: &AtomicU64,
     options: &WorkerOptions,
     shard_source: &ShardSource,
     stop: &AtomicBool,
@@ -285,7 +297,8 @@ fn pull_loop(
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let reply = match rpc(client, &Msg::RequestTask { worker_id }) {
+        let id = worker_id.load(Ordering::SeqCst);
+        let reply = match rpc(client, &Msg::RequestTask { worker_id: id }) {
             Ok(r) => {
                 consecutive_failures = 0;
                 r
@@ -315,21 +328,27 @@ fn pull_loop(
                 let report =
                     match execute_task_traced_with(task, &options.cluster, Some(shard_source)) {
                         (Ok(output), spans) => Msg::TaskDone {
-                            worker_id,
+                            worker_id: id,
                             task_id,
                             output,
                             spans,
                         },
                         (Err(error), _) => Msg::TaskFailed {
-                            worker_id,
+                            worker_id: id,
                             task_id,
                             error,
                         },
                     };
                 rpc(client, &report)?;
             }
+            // The long-poll already waited on the coordinator side.
+            Msg::NoTask { backoff_ms: 0 } => {}
             Msg::NoTask { backoff_ms } => {
-                std::thread::sleep(Duration::from_millis(backoff_ms.clamp(1, 1000)));
+                std::thread::sleep(Duration::from_millis(backoff_ms.min(1000)));
+            }
+            Msg::UnknownWorker { .. } => {
+                let (new_id, _) = register(client, &options.name)?;
+                worker_id.store(new_id, Ordering::SeqCst);
             }
             other => return Err(format!("unexpected reply to RequestTask: {other:?}")),
         }

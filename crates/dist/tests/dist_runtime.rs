@@ -3,12 +3,15 @@
 //! re-queued, and the job still finishes bit-identical to the
 //! in-process engine.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dasc_core::{Dasc, DascConfig};
 use dasc_data::{dataset_to_store, Dataset, SyntheticConfig};
-use dasc_dist::{worker, Coordinator, JobClient, JobData, JobSpec, WorkerOptions};
+use dasc_dist::{
+    client_config, rpc, worker, Coordinator, JobClient, JobData, JobSpec, Msg, WorkerOptions,
+};
 use dasc_mapreduce::ClusterConfig;
+use dasc_net::Client;
 
 /// Fast-failure-detection cluster knobs for tests: sub-second
 /// heartbeats and liveness so a killed worker is reclaimed quickly.
@@ -23,6 +26,37 @@ fn test_cluster() -> ClusterConfig {
     c.rpc_backoff_base = Duration::from_millis(10);
     c.rpc_backoff_max = Duration::from_millis(100);
     c
+}
+
+/// [`test_cluster`] with a 2 s heartbeat: the park deadline of every
+/// long-poll is 2 s, so anything that waits out a deadline or sleeps
+/// per poll shows up as a whole second or more.
+fn slow_heartbeat_cluster() -> ClusterConfig {
+    let mut c = test_cluster();
+    c.heartbeat_interval = Duration::from_secs(2);
+    c.worker_liveness_timeout = Duration::from_secs(30);
+    c
+}
+
+/// A worker on `cluster`'s RPC knobs, so its retries against a stopped
+/// coordinator back off in milliseconds rather than seconds.
+fn spawn_worker(addr: &str, name: String, cluster: &ClusterConfig) -> worker::WorkerHandle {
+    worker::spawn(
+        addr,
+        WorkerOptions {
+            cluster: cluster.clone(),
+            ..WorkerOptions::named(name)
+        },
+    )
+}
+
+/// Block until `n` workers are registered with `coordinator`.
+fn await_workers(coordinator: &Coordinator, n: usize) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while coordinator.live_workers() != n {
+        assert!(Instant::now() < give_up, "{n} workers never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn blobs(n: usize, k: usize) -> Vec<Vec<f64>> {
@@ -429,5 +463,154 @@ fn consolidation_off_also_matches() {
     assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
 
     w.shutdown().expect("w");
+    coordinator.shutdown();
+}
+
+#[test]
+fn long_polled_job_beats_the_heartbeat() {
+    // Idle workers and the job client both wait on the coordinator, not
+    // on a sleep: a queued task reaches a parked worker at once, and
+    // the finished job reaches the parked client at once.
+    let points = blobs(200, 3);
+    let config = DascConfig::for_dataset(points.len(), 3);
+    let baseline =
+        Dasc::new(config.clone()).run_distributed(&points, &ClusterConfig::emr_default());
+
+    let cluster = slow_heartbeat_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+    let w1 = spawn_worker(&addr, "lp1".into(), &cluster);
+    let w2 = spawn_worker(&addr, "lp2".into(), &cluster);
+    await_workers(&coordinator, 2);
+
+    let mut client = JobClient::connect(&addr, &cluster);
+    let began = Instant::now();
+    let outcome = client
+        .run(spec_for(&points, &config), |_, _, _| {})
+        .expect("job");
+    let took = began.elapsed();
+    assert!(took < Duration::from_secs(1), "job took {took:?}");
+    assert_eq!(outcome.assignments, baseline.clustering.assignments);
+
+    stop_parked(coordinator, vec![w1, w2]);
+}
+
+#[test]
+fn parked_workers_beyond_the_pool_width_do_not_stall_the_job() {
+    // Four parked RequestTasks: more than the coordinator's compute
+    // pool threads on a small machine. They park on their connection
+    // threads, so model fitting and consolidation still get the pool.
+    let points = blobs(300, 3);
+    let config = DascConfig::for_dataset(points.len(), 3);
+    assert!(config.consolidate);
+    let baseline =
+        Dasc::new(config.clone()).run_distributed(&points, &ClusterConfig::emr_default());
+
+    let cluster = slow_heartbeat_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+    let workers: Vec<_> = (0..4)
+        .map(|i| spawn_worker(&addr, format!("idle{i}"), &cluster))
+        .collect();
+    await_workers(&coordinator, 4);
+    // Let the workers reach their RequestTask park; the bound below
+    // holds either way, the pause only makes the test exercise it.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let mut client = JobClient::connect(&addr, &cluster);
+    let began = Instant::now();
+    let outcome = client
+        .run(spec_for(&points, &config), |_, _, _| {})
+        .expect("job");
+    let took = began.elapsed();
+    assert!(took < Duration::from_millis(1500), "job took {took:?}");
+    assert_eq!(outcome.assignments, baseline.clustering.assignments);
+    assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
+
+    stop_parked(coordinator, workers);
+}
+
+#[test]
+fn shutdown_wakes_parked_long_polls() {
+    let points = blobs(200, 3);
+    let config = DascConfig::for_dataset(points.len(), 3);
+    let cluster = slow_heartbeat_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+
+    // A raw "worker" takes one map task and never reports it, so the
+    // job stays running: the client parks on PollJob and the real
+    // workers, once the other tasks are done, park on RequestTask.
+    let mut holder = Client::new(addr.clone(), client_config(&cluster));
+    let Ok(Msg::RegisterAck { worker_id, .. }) = rpc(
+        &mut holder,
+        &Msg::Register {
+            name: "holder".into(),
+        },
+    ) else {
+        panic!("holder failed to register");
+    };
+    let job = {
+        let (addr, cluster, spec) = (addr.clone(), cluster.clone(), spec_for(&points, &config));
+        std::thread::spawn(move || JobClient::connect(addr, &cluster).run(spec, |_, _, _| {}))
+    };
+    match rpc(&mut holder, &Msg::RequestTask { worker_id }) {
+        Ok(Msg::AssignTask { .. }) => {}
+        other => panic!("holder got no task: {other:?}"),
+    }
+    let workers: Vec<_> = (0..2)
+        .map(|i| spawn_worker(&addr, format!("parked{i}"), &cluster))
+        .collect();
+    await_workers(&coordinator, 3);
+    // Let the workers finish the other map tasks and park; the bound
+    // below holds either way, the pause only makes the test exercise it.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let began = Instant::now();
+    coordinator.shutdown();
+    let took = began.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+    let err = job
+        .join()
+        .expect("client thread")
+        .expect_err("job cannot finish");
+    assert!(err.contains("shutting down"), "unexpected error: {err}");
+    drop(holder);
+    for w in workers {
+        let _ = w.shutdown();
+    }
+}
+
+/// Tear down a cluster whose workers may be parked on a long deadline:
+/// shutting the coordinator down first wakes them at once.
+fn stop_parked(coordinator: Coordinator, workers: Vec<worker::WorkerHandle>) {
+    coordinator.shutdown();
+    for w in workers {
+        // The coordinator is gone, so the pull loops may end in an RPC
+        // error; all that matters is that they end.
+        let _ = w.shutdown();
+    }
+}
+
+#[test]
+fn unknown_worker_id_gets_a_typed_reply() {
+    let cluster = test_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let mut raw = Client::new(coordinator.addr().to_string(), client_config(&cluster));
+    assert_eq!(
+        rpc(&mut raw, &Msg::RequestTask { worker_id: 4242 }),
+        Ok(Msg::UnknownWorker { worker_id: 4242 })
+    );
+    assert_eq!(
+        rpc(
+            &mut raw,
+            &Msg::Heartbeat {
+                worker_id: 4242,
+                metrics: Default::default(),
+            }
+        ),
+        Ok(Msg::UnknownWorker { worker_id: 4242 })
+    );
     coordinator.shutdown();
 }

@@ -187,6 +187,7 @@ fn all_messages(
             task: reduce_ref_task,
         },
         Msg::NoTask { backoff_ms: c },
+        Msg::UnknownWorker { worker_id: b },
         Msg::TaskDone {
             worker_id: a,
             task_id: b,

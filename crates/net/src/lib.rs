@@ -15,8 +15,8 @@
 //! * [`client`] — a blocking [`Client`] with connect/read/write
 //!   timeouts and bounded exponential-backoff reconnection.
 //! * [`server`] — an accept-loop [`Server`] that runs a [`Service`]
-//!   callback per frame; handlers execute inside the `dasc-pool`
-//!   work-stealing pool so compute-heavy RPCs parallelize.
+//!   callback per frame on the connection's own thread, so handlers
+//!   may block (long-polls) without taking a compute thread.
 //!
 //! Every frame sent/received bumps `dasc_net_*` counters in the global
 //! `dasc-obs` registry; RPC latencies land in the

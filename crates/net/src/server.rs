@@ -2,14 +2,14 @@
 //!
 //! One acceptor thread plus one thread per live connection (the dist
 //! runtime has a handful of long-lived worker connections, not a
-//! thundering herd). Each frame is handled inside the `dasc-pool`
-//! work-stealing pool via [`dasc_pool::in_pool`], so a compute-heavy
-//! handler (e.g. a reduce task) parallelizes across the machine while
-//! the connection threads stay cheap blocking loops.
+//! thundering herd). Each frame is handled directly on its connection
+//! thread, so a handler may block — the coordinator parks long-polls
+//! there — without occupying a `dasc-pool` compute thread.
 //!
 //! Graceful shutdown mirrors `dasc-serve`: set the flag, self-connect
 //! to unblock `accept`, join everything. Connection threads notice the
-//! flag at their next read timeout.
+//! flag after their current frame or at their next read timeout, so a
+//! service with blocking handlers must wake them before shutdown.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,6 +29,11 @@ pub trait Service: Send + Sync + 'static {
     /// Handle one request frame; return `Some((msg_type, payload))` to
     /// reply, or `None` to close the connection without replying (used
     /// by fault-injection harnesses to simulate a dying peer).
+    ///
+    /// Runs on the connection's own thread and may block (e.g. a
+    /// long-poll); only that connection waits. A blocking handler must
+    /// return within the peer's read timeout, and must return promptly
+    /// once its service begins shutting down.
     fn handle(&self, conn: ConnId, msg_type: u16, payload: &[u8]) -> Option<(u16, Vec<u8>)>;
 
     /// Called exactly once when a connection ends (hangup, protocol
@@ -192,15 +197,17 @@ fn serve_connection<S: Service>(shared: &Shared<S>, stream: TcpStream, conn: Con
             // counters already recorded decode errors; just drop.
             Err(_) => break,
         };
-        let service = &shared.service;
-        let reply = dasc_pool::in_pool(|| service.handle(conn, frame.msg_type, &frame.payload));
-        match reply {
+        match shared.service.handle(conn, frame.msg_type, &frame.payload) {
             Some((msg_type, payload)) => {
                 if write_frame(&mut stream, msg_type, &payload).is_err() {
                     break;
                 }
             }
             None => break,
+        }
+        // A peer that re-asks at once would never let the read time out.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
     }
     shared.service.on_disconnect(conn);
@@ -257,6 +264,43 @@ mod tests {
             }
         });
         assert_eq!(hits.load(Ordering::Relaxed), 20);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn blocking_handlers_do_not_wait_for_each_other() {
+        // Every handler parks until all of them are in flight. Handlers
+        // run on their own connection threads, so no thread-pool width
+        // caps how many can block at once.
+        const N: usize = 4;
+        let arrived = Arc::new((Mutex::new(0usize), std::sync::Condvar::new()));
+        let handle = {
+            let arrived = Arc::clone(&arrived);
+            Server::new(
+                move |_conn: ConnId, msg_type: u16, _payload: &[u8]| {
+                    let (count, all_in) = &*arrived;
+                    let mut n = count.lock().expect("count");
+                    *n += 1;
+                    all_in.notify_all();
+                    let (_n, wait) = all_in
+                        .wait_timeout_while(n, Duration::from_secs(1), |n| *n < N)
+                        .expect("count");
+                    Some((msg_type, vec![u8::from(!wait.timed_out())]))
+                },
+                ServerConfig::default(),
+            )
+            .start("127.0.0.1:0")
+            .expect("start")
+        };
+        let addr = handle.addr();
+        thread::scope(|s| {
+            for _ in 0..N {
+                s.spawn(move || {
+                    let reply = quick_client(addr).call(1, b"").expect("call");
+                    assert_eq!(reply.payload, [1], "a handler waited out its peers");
+                });
+            }
+        });
         handle.shutdown();
     }
 

@@ -12,7 +12,9 @@
 # coordinator/worker runtime instead (bench_dist → BENCH_dist.json,
 # with per-stage times, worker count, shuffle volume, and the
 # telemetry on/off observability overhead; further arguments — e.g.
-# --workers 4 — go to bench_dist).
+# --workers 4 — go to bench_dist). The dist check also fails if the
+# n=1000 job, inline or by reference, takes 0.25 s or more: half the
+# EMR heartbeat, which any sleep-per-poll dispatch would round up to.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,6 +72,14 @@ for run in runs:
     for stage in ("map", "reduce"):
         assert stage in stages, f"stages_s missing {stage}"
         assert stages[stage] >= 0, f"negative {stage} time"
+    # Long-polled dispatch: a small job must not wait out poll sleeps.
+    # 0.25 s is half the 500 ms EMR heartbeat.
+    if run["n"] == 1000:
+        for key in ("total_s", "ref_total_s"):
+            assert run[key] < 0.25, (
+                f"n=1000: {key} {run[key]:.3f}s, want < 0.25s "
+                f"(half the EMR heartbeat)"
+            )
 print(
     f"OK: {len(runs)} runs on {doc['workers']} workers, "
     f"observability overhead {doc['obs_overhead_pct']:+.1f}%"
