@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dasc_bench::Scale;
-use dasc_core::{Dasc, DascConfig, DascResult, KernelBackend};
+use dasc_core::{bucket_cluster_count, Dasc, DascConfig, DascResult, KernelBackend};
 use dasc_data::SyntheticConfig;
 use dasc_linalg::gemm;
 
@@ -29,6 +29,9 @@ use dasc_linalg::gemm;
 struct Run {
     n: usize,
     dim: usize,
+    /// Entries of the Gram blocks the run actually built: buckets with a
+    /// single cluster skip their block.
+    built_entries: usize,
     threads: usize,
     total_s: f64,
     points_per_s: f64,
@@ -36,17 +39,19 @@ struct Run {
 }
 
 impl Run {
-    /// Effective Gram-stage throughput in GFLOP/s, counting the
-    /// micro-kernel's norm-expansion work: `2d` flops per stored entry
-    /// (the `A·Bᵀ` multiply-adds; the norm/exp passes are O(n) and O(1)
-    /// per entry and are left out, so this slightly undercounts).
+    /// Gram throughput in GFLOP/s per bucket-summed second: `2d` flops
+    /// per entry of the blocks actually built (the `A·Bᵀ`
+    /// multiply-adds; the norm/exp passes are O(n) and O(1) per entry
+    /// and are left out, so this slightly undercounts), over
+    /// `times.gram`, which sums every bucket's block time. With several
+    /// threads building blocks at once this is the per-thread rate, not
+    /// the pool's.
     fn gram_gflops(&self) -> f64 {
         let gram_s = self.result.times.gram.as_secs_f64();
         if gram_s <= 0.0 {
             return 0.0;
         }
-        let entries = (self.result.approx_gram_bytes / 4) as f64;
-        2.0 * self.dim as f64 * entries / gram_s / 1e9
+        2.0 * self.dim as f64 * self.built_entries as f64 / gram_s / 1e9
     }
 }
 
@@ -56,9 +61,18 @@ fn run_once(points: &[Vec<f64>], k: usize, threads: usize) -> Run {
     let t0 = Instant::now();
     let result = pool.install(|| Dasc::new(cfg).run(points));
     let total_s = t0.elapsed().as_secs_f64();
+    let n = points.len();
+    let built_entries = result
+        .buckets
+        .sizes()
+        .iter()
+        .filter(|&&size| bucket_cluster_count(k, size, n) > 1)
+        .map(|&size| size * size)
+        .sum();
     Run {
-        n: points.len(),
+        n,
         dim: points.first().map_or(0, Vec::len),
+        built_entries,
         threads,
         total_s,
         points_per_s: points.len() as f64 / total_s,

@@ -3,19 +3,27 @@
 //! runnable serially (rayon over buckets) or as the paper's two
 //! MapReduce stages on the `dasc-mapreduce` substrate.
 //!
+//! Every executor runs a bucket through one body, [`cluster_bucket_flat`]:
+//! gather the members, build their Gram block, cluster it, free it. Like
+//! the paper's Algorithm 2 reducer, a bucket task only ever holds its own
+//! `Nᵢ²` block, so live Gram memory is the blocks of the buckets in
+//! flight, not the whole `Σ Nᵢ²` approximation.
+//!
 //! Every stage is traced with `dasc-obs` spans (`dasc.lsh`,
-//! `dasc.bucket`, `dasc.gram`, `dasc.cluster`, `dasc.consolidate`, and
+//! `dasc.bucket`, `dasc.cluster`, one `dasc.cluster.bucket` per bucket
+//! with its `dasc.gram` and substage children, `dasc.consolidate`, and
 //! the `dasc.stage1`/`dasc.stage2` distributed counterparts); the same
 //! guards produce [`DascStageTimes`], so the struct and a trace of the
 //! run can never disagree. Run-level totals land in the global metrics
 //! registry (`dasc_runs_total`, `dasc_points_total`,
 //! `dasc_buckets_total`).
 
+use std::convert::Infallible;
 use std::time::Duration;
 
 use dasc_obs::span;
 
-use dasc_kernel::{ApproximateGram, Kernel};
+use dasc_kernel::{full_gram_flat, ApproximateGram, Kernel};
 use dasc_linalg::{FlatPoints, KernelBackend, PointsView};
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{
@@ -98,9 +106,12 @@ pub struct DascStageTimes {
     pub lsh: Duration,
     /// Bucket formation and merging.
     pub bucketing: Duration,
-    /// Sub-similarity matrices.
+    /// Sub-similarity matrices, summed across buckets. Each block is
+    /// built inside its bucket's clustering task, so this is a slice of
+    /// `clustering`, like the three substages below.
     pub gram: Duration,
-    /// Per-bucket spectral clustering.
+    /// Per-bucket clustering, wall clock: Gram blocks, Laplacians,
+    /// eigensolves and K-means of every bucket.
     pub clustering: Duration,
     /// Laplacian scaling, summed across buckets (a slice of
     /// `clustering`; with several rayon workers the three substage sums
@@ -120,7 +131,9 @@ pub struct DascResult {
     pub clustering: Clustering,
     /// The (merged) bucket structure used.
     pub buckets: BucketSet,
-    /// Bytes of the approximate Gram matrix (4·Σ Nᵢ², Eq. 12).
+    /// Bytes of the approximate Gram matrix under the paper's 4-byte
+    /// convention (4·Σ Nᵢ², Eq. 12). The run never holds all of it at
+    /// once: each block lives only while its bucket is clustered.
     pub approx_gram_bytes: usize,
     /// Stage timings.
     pub times: DascStageTimes,
@@ -287,51 +300,54 @@ impl Dasc {
             .merge_with(self.config.lsh.merge_strategy, self.config.lsh.merge_p);
         times.bucketing = bucket_span.finish();
 
-        let gram_span = span!("dasc.gram");
-        let gram = ApproximateGram::from_buckets(points, &buckets, &self.config.kernel);
-        times.gram = gram_span.finish();
-        let approx_gram_bytes = gram.memory_bytes();
+        let approx_gram_bytes = 4 * buckets.approx_gram_entries();
 
         let cluster_span = span!("dasc.cluster");
-        // Schedule the biggest buckets first: per-bucket spectral cost
-        // grows superlinearly with Nᵢ, so a large bucket started last
-        // would finish alone while the rest of the pool idles. Spectral
-        // seeds key on the *original* bucket index and results are
-        // scattered back to input order, so the clustering is identical
-        // to an in-order run. Blocks are consumed by value: each bucket's
-        // similarity matrix is scaled into its Laplacian in place, so no
-        // second copy of the approximate Gram exists during this stage.
-        let mut blocks: Vec<(usize, dasc_kernel::GramBlock)> =
-            gram.into_blocks().into_iter().enumerate().collect();
-        let num_blocks = blocks.len();
-        blocks.sort_by_key(|(_, b)| std::cmp::Reverse(b.members.len()));
-        let computed: Vec<(usize, Vec<usize>, Clustering, SpectralBreakdown)> = blocks
+        // Schedule the biggest buckets first: per-bucket cost grows
+        // superlinearly with Nᵢ, so a large bucket started last would
+        // finish alone while the rest of the pool idles. Spectral seeds
+        // key on the *original* bucket index and results are scattered
+        // back to input order, so the clustering is identical to an
+        // in-order run. Each task builds, clusters and frees its own
+        // block, so only the blocks of buckets in flight are ever live.
+        let mut order: Vec<usize> = (0..buckets.len()).collect();
+        order.sort_by_key(|&bi| std::cmp::Reverse(buckets.buckets()[bi].members.len()));
+        let computed: Vec<(usize, Clustering, SpectralBreakdown)> = order
             .into_par_iter()
-            .map(|(bi, block)| {
-                let _bucket_span = span!("dasc.cluster.bucket");
-                let ki = bucket_cluster_count(self.config.k, block.members.len(), n);
-                let sc = SpectralClustering::new(self.spectral_config(ki, bi as u64));
-                let (c, breakdown) = sc.run_on_similarity_owned(block.matrix);
-                (bi, block.members, c, breakdown)
+            .map(|bi| {
+                let members = &buckets.buckets()[bi].members;
+                let ki = bucket_cluster_count(self.config.k, members.len(), n);
+                let Ok((c, breakdown)) = cluster_bucket_flat(
+                    members.len(),
+                    ki,
+                    self.config.kernel,
+                    self.config.lanczos_threshold,
+                    self.config.seed,
+                    bi,
+                    || Ok::<_, Infallible>(FlatPoints::gather(points, members)),
+                );
+                (bi, c, breakdown)
             })
             .collect();
         // The rayon facade preserves order, so `computed[0]` is the
         // largest bucket — its path is the run's representative route.
         let eigen_path = computed
             .first()
-            .map(|(_, _, _, br)| br.path)
+            .map(|(_, _, br)| br.path)
             .unwrap_or(EigenPath::DenseFull);
-        let mut per_bucket: Vec<Option<(Vec<usize>, Clustering)>> =
-            (0..num_blocks).map(|_| None).collect();
-        for (bi, members, c, breakdown) in computed {
+        let mut per_bucket: Vec<Option<Clustering>> = (0..buckets.len()).map(|_| None).collect();
+        for (bi, c, breakdown) in computed {
+            times.gram += breakdown.gram;
             times.laplacian += breakdown.laplacian;
             times.eigen += breakdown.eigen;
             times.kmeans += breakdown.kmeans;
-            per_bucket[bi] = Some((members, c));
+            per_bucket[bi] = Some(c);
         }
-        let per_bucket: Vec<(Vec<usize>, Clustering)> = per_bucket
-            .into_iter()
-            .map(|b| b.expect("every bucket clustered"))
+        let per_bucket: Vec<(&[usize], Clustering)> = buckets
+            .buckets()
+            .iter()
+            .zip(per_bucket)
+            .map(|(b, c)| (b.members.as_slice(), c.expect("every bucket clustered")))
             .collect();
         times.clustering = cluster_span.finish();
 
@@ -419,9 +435,16 @@ impl Dasc {
             move |bucket_id: usize,
                   members: Vec<usize>,
                   emit: &mut dyn FnMut((usize, usize, usize))| {
-                let sub: Vec<Vec<f64>> = members.iter().map(|&i| points[i].clone()).collect();
                 let ki = bucket_cluster_count(k_total, members.len(), n);
-                let c = cluster_bucket(&sub, ki, kernel, lanczos_threshold, seed, bucket_id);
+                let Ok((c, _)) = cluster_bucket_flat(
+                    members.len(),
+                    ki,
+                    kernel,
+                    lanczos_threshold,
+                    seed,
+                    bucket_id,
+                    || Ok::<_, Infallible>(FlatPoints::gather(points, &members)),
+                );
                 for (local, &point) in members.iter().enumerate() {
                     emit((point, bucket_id, c.assignments[local]));
                 }
@@ -465,14 +488,6 @@ impl Dasc {
             config: self.config.clone(),
         }
     }
-
-    fn spectral_config(&self, ki: usize, bucket_index: u64) -> SpectralConfig {
-        let mut cfg = SpectralConfig::new(ki)
-            .kernel(self.config.kernel)
-            .seed(self.config.seed ^ bucket_index.wrapping_mul(0x9E37_79B9));
-        cfg.lanczos_threshold = self.config.lanczos_threshold;
-        cfg
-    }
 }
 
 /// Run-level totals for the global metrics registry, recorded once per
@@ -504,47 +519,54 @@ pub fn bucket_cluster_count(k_total: usize, bucket_size: usize, n: usize) -> usi
     share.clamp(1, bucket_size)
 }
 
-/// Spectrally cluster one bucket's points into `ki` clusters — the
-/// stage-2 reduce body, shared verbatim by [`Dasc::train_distributed`]
-/// and the `dasc-dist` worker so both executors are bit-identical. The
-/// spectral seed derives from `(seed, bucket_id)` exactly as the serial
-/// path derives it.
-pub fn cluster_bucket(
-    points: &[Vec<f64>],
+/// Cluster one bucket into `ki` clusters — the per-bucket body every
+/// executor runs: [`Dasc::run`]'s bucket tasks, the
+/// [`Dasc::train_distributed`] reducer and the `dasc-dist` worker, so
+/// all three are bit-identical by construction.
+///
+/// `gather` returns the bucket's `size` member points as one flat
+/// buffer (from memory, or from dataset shards, which can fail). The
+/// body then builds the bucket's Gram block, scales it into the
+/// Laplacian in place, runs the eigensolve and K-means, and frees the
+/// block before returning. A bucket with one cluster (`ki <= 1`) or one
+/// point is all cluster 0: it returns before `gather` is called, and
+/// builds no Gram. The spectral seed derives from `(seed, bucket_id)`.
+///
+/// Opens one `dasc.cluster.bucket` span per call, with the `dasc.gram`
+/// span nested in it when a block is built. The breakdown carries the
+/// substage times and the eigensolver path taken.
+///
+/// # Errors
+/// Returns whatever `gather` returns.
+pub fn cluster_bucket_flat<E>(
+    size: usize,
     ki: usize,
     kernel: Kernel,
     lanczos_threshold: usize,
     seed: u64,
     bucket_id: usize,
-) -> Clustering {
-    cluster_bucket_flat(
-        &FlatPoints::from_rows(points),
-        ki,
-        kernel,
-        lanczos_threshold,
-        seed,
-        bucket_id,
-    )
-}
-
-/// [`cluster_bucket`] over a flat row-major buffer. The shard-addressed
-/// worker gathers a bucket's members straight out of mmap'd shards into
-/// one flat buffer and clusters it here; `cluster_bucket` delegates to
-/// this function, so the inline and dataset-ref executors stay
-/// bit-identical by construction.
-pub fn cluster_bucket_flat(
-    points: &FlatPoints,
-    ki: usize,
-    kernel: Kernel,
-    lanczos_threshold: usize,
-    seed: u64,
-    bucket_id: usize,
-) -> Clustering {
+    gather: impl FnOnce() -> Result<FlatPoints, E>,
+) -> Result<(Clustering, SpectralBreakdown), E> {
+    let _bucket_span = span!("dasc.cluster.bucket");
+    if ki <= 1 || size <= 1 {
+        return Ok((
+            Clustering::new(vec![0; size], 1),
+            SpectralBreakdown::default(),
+        ));
+    }
+    let points = gather()?;
+    assert_eq!(points.len(), size, "cluster_bucket_flat: gathered size");
+    let gram_span = span!("dasc.gram");
+    let gram = full_gram_flat(&points, &kernel);
+    drop(points);
+    let gram_time = gram_span.finish();
     let mut cfg = SpectralConfig::new(ki)
         .kernel(kernel)
         .seed(seed ^ (bucket_id as u64).wrapping_mul(0x9E37_79B9));
     cfg.lanczos_threshold = lanczos_threshold;
-    SpectralClustering::new(cfg).run_flat(points).clustering
+    let (c, mut breakdown) = SpectralClustering::new(cfg).run_on_similarity_owned(gram);
+    breakdown.gram = gram_time;
+    Ok((c, breakdown))
 }
 
 /// Stitch distributed stage-2 output records `(point, bucket_id,
@@ -718,7 +740,7 @@ pub(crate) fn weighted_kmeans(
 
 /// Combine per-bucket clusterings into a single assignment with
 /// contiguous global cluster ids.
-fn stitch_global(n: usize, per_bucket: &[(Vec<usize>, Clustering)]) -> Clustering {
+fn stitch_global(n: usize, per_bucket: &[(&[usize], Clustering)]) -> Clustering {
     let mut assignments = vec![0usize; n];
     let mut offset = 0usize;
     for (members, c) in per_bucket {

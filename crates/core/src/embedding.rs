@@ -13,6 +13,7 @@
 //! orders past the dense crossover.
 
 use dasc_linalg::{lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix};
+use rayon::prelude::*;
 
 /// The resolved eigensolver route for one embedding
 /// (`EigenBackend` is the *policy*; this is the *choice* it made).
@@ -56,6 +57,9 @@ pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> Eigen
     }
 }
 
+/// Rows per parallel task of [`normalized_laplacian_inplace`].
+const LAPLACIAN_PANEL_ROWS: usize = 64;
+
 /// Scale a dense similarity matrix into the symmetric normalized
 /// Laplacian `L = D^{−1/2} S D^{−1/2}` (Eq. 2) **in place**, returning
 /// the degree vector (callers of the random-walk variant reuse it).
@@ -68,17 +72,38 @@ pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> Eigen
 pub fn normalized_laplacian_inplace(s: &mut Matrix) -> Vec<f64> {
     assert!(s.is_square(), "laplacian: matrix must be square");
     let n = s.nrows();
-    let degrees = s.row_sums();
+    if n == 0 {
+        return Vec::new();
+    }
+    // Both passes run over panels of rows rather than single rows, so a
+    // few-hundred-row bucket forks a handful of tasks, not hundreds.
+    // Each row is summed and scaled exactly as a serial loop would.
+    let panel = LAPLACIAN_PANEL_ROWS * n;
+    let degrees: Vec<f64> = s
+        .as_slice()
+        .par_chunks(panel)
+        .map(|rows| {
+            rows.chunks_exact(n)
+                .map(|row| row.iter().sum::<f64>())
+                .collect::<Vec<f64>>()
+        })
+        .collect::<Vec<Vec<f64>>>()
+        .concat();
     let inv_sqrt: Vec<f64> = degrees
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
         .collect();
-    for (i, row) in s.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        let di = inv_sqrt[i];
-        for (v, &dj) in row.iter_mut().zip(&inv_sqrt) {
-            *v = di * *v * dj;
-        }
-    }
+    s.as_mut_slice()
+        .par_chunks_mut(panel)
+        .enumerate()
+        .for_each(|(p, rows)| {
+            let scales = &inv_sqrt[p * LAPLACIAN_PANEL_ROWS..];
+            for (row, &di) in rows.chunks_exact_mut(n).zip(scales) {
+                for (v, &dj) in row.iter_mut().zip(&inv_sqrt) {
+                    *v = di * *v * dj;
+                }
+            }
+        });
     degrees
 }
 

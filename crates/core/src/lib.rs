@@ -34,8 +34,8 @@ pub mod spectral;
 pub mod streaming;
 
 pub use dasc::{
-    bucket_cluster_count, cluster_bucket, cluster_bucket_flat, consolidate, stitch_distributed,
-    Dasc, DascConfig, DascDistributedResult, DascResult, DascTrained, DascTrainedDistributed,
+    bucket_cluster_count, cluster_bucket_flat, consolidate, stitch_distributed, Dasc, DascConfig,
+    DascDistributedResult, DascResult, DascTrained, DascTrainedDistributed,
 };
 pub use dasc_linalg::KernelBackend;
 pub use distributed_kmeans::{distributed_kmeans, DistributedKMeansResult};

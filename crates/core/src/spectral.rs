@@ -115,10 +115,13 @@ pub struct SpectralResult {
 }
 
 /// Per-substage breakdown of one spectral run — filled from the
-/// `dasc.cluster.{laplacian,eigen,kmeans}` span guards, so a trace of
-/// the run and this struct cannot disagree.
+/// `dasc.gram` and `dasc.cluster.{laplacian,eigen,kmeans}` span guards,
+/// so a trace of the run and this struct cannot disagree.
 #[derive(Clone, Copy, Debug)]
 pub struct SpectralBreakdown {
+    /// Building the similarity block (zero when the caller passed a
+    /// ready-made similarity, or the bucket needed no Gram).
+    pub gram: Duration,
     /// Scaling the similarity matrix into the normalized Laplacian.
     pub laplacian: Duration,
     /// The eigensolve (whichever path ran).
@@ -132,6 +135,7 @@ pub struct SpectralBreakdown {
 impl Default for SpectralBreakdown {
     fn default() -> Self {
         Self {
+            gram: Duration::ZERO,
             laplacian: Duration::ZERO,
             eigen: Duration::ZERO,
             kmeans: Duration::ZERO,

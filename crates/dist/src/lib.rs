@@ -8,7 +8,7 @@
 //! processes over `dasc-net` TCP framing.
 //!
 //! Determinism is structural, not empirical: the map body, the reduce
-//! body (`dasc_core::cluster_bucket`), the between-stage bucket merge,
+//! body (`dasc_core::cluster_bucket_flat`), the between-stage bucket merge,
 //! the stitch (`dasc_core::stitch_distributed`) and the consolidation
 //! (`dasc_core::consolidate`) are the *same functions* the in-process
 //! `Dasc::run_distributed` calls, and none of them depend on task

@@ -15,7 +15,7 @@
 //!
 //! * `MapSignatures` → [`run_map_only`] with the Algorithm 1 mapper;
 //! * `ReduceBucket` → [`reduce_groups`] with a reducer that calls
-//!   `dasc_core::cluster_bucket` (the shared stage-2 body).
+//!   `dasc_core::cluster_bucket_flat` (the shared per-bucket body).
 //!
 //! Shard-addressed tasks (`MapSignaturesRef` / `ReduceBucketRef`)
 //! carry no points; the worker resolves the referenced global rows
@@ -31,12 +31,13 @@
 //! worker holding an in-flight task, exactly like a crashed machine.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dasc_core::{cluster_bucket, cluster_bucket_flat};
+use dasc_core::cluster_bucket_flat;
 use dasc_linalg::FlatPoints;
 use dasc_lsh::SignatureModel;
 use dasc_mapreduce::{reduce_groups, run_map_only, ClusterConfig, FnMapper, FnReducer};
@@ -446,17 +447,18 @@ pub fn execute_task_traced_with(
                         move |bucket_id: usize,
                               member_points: Vec<(usize, Vec<f64>)>,
                               emit: &mut dyn FnMut((usize, usize, usize))| {
-                            let sub: Vec<Vec<f64>> =
-                                member_points.iter().map(|(_, p)| p.clone()).collect();
-                            let c = cluster_bucket(
-                                &sub,
+                            let (ids, rows): (Vec<usize>, Vec<Vec<f64>>) =
+                                member_points.into_iter().unzip();
+                            let Ok((c, _)) = cluster_bucket_flat(
+                                ids.len(),
                                 ki,
                                 kernel,
                                 lanczos_threshold,
                                 seed,
                                 bucket_id,
+                                || Ok::<_, Infallible>(FlatPoints::from_rows(&rows)),
                             );
-                            for (local, &(point, _)) in member_points.iter().enumerate() {
+                            for (local, &point) in ids.iter().enumerate() {
                                 emit((point, bucket_id, c.assignments[local]));
                             }
                         },
@@ -511,25 +513,29 @@ pub fn execute_task_traced_with(
                     let _span = tracer.span("dist.task.reduce");
                     let source = shard_source
                         .ok_or("shard-addressed task but this worker has no shard source")?;
-                    // Gather the bucket's rows straight into one flat
-                    // buffer — the same layout `cluster_bucket` builds
-                    // from its nested input, so the numerics agree.
-                    let dim = manifest.dim as usize;
-                    let mut flat = Vec::with_capacity(members.len() * dim);
-                    for &m in &members {
-                        let (s, r) = manifest.locate(m);
-                        let shard = source.shard(&manifest, s)?;
-                        flat.extend_from_slice(shard.row(r));
-                    }
                     let cluster_span = tracer.span("dist.task.reduce.cluster");
-                    let c = cluster_bucket_flat(
-                        &FlatPoints::from_flat(flat, dim),
+                    // Gather the bucket's rows straight out of the shards
+                    // into one flat buffer — the layout the inline path
+                    // gathers from memory, so the numerics agree.
+                    let (c, _) = cluster_bucket_flat(
+                        members.len(),
                         ki,
                         kernel,
                         lanczos_threshold,
                         seed,
                         bucket_id,
-                    );
+                        || {
+                            let _gather_span = tracer.span("dist.task.reduce.gather");
+                            let dim = manifest.dim as usize;
+                            let mut flat = Vec::with_capacity(members.len() * dim);
+                            for &m in &members {
+                                let (s, r) = manifest.locate(m);
+                                let shard = source.shard(&manifest, s)?;
+                                flat.extend_from_slice(shard.row(r));
+                            }
+                            Ok::<_, String>(FlatPoints::from_flat(flat, dim))
+                        },
+                    )?;
                     cluster_span.finish();
                     Ok(TaskOutput::ReduceBucket(
                         members

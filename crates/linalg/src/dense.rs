@@ -17,6 +17,39 @@ use crate::vector;
 /// against the row dots.
 const MATVEC_PANEL_ROWS: usize = 64;
 
+/// Edge of the square tiles [`Matrix::mirror_upper`] copies: a 64×64
+/// `f64` tile is 32 KiB, so the upper tile being read stays in L1 while
+/// its transpose is written, instead of striding a whole column per
+/// lower row.
+const MIRROR_TILE: usize = 64;
+
+/// The matrix buffer shared by the [`Matrix::mirror_upper`] tile tasks.
+/// Each task writes only strictly-lower entries of its own rows and
+/// reads only strictly-upper entries, so no entry is both written by
+/// one task and touched by another.
+#[derive(Clone, Copy)]
+struct MirrorPtr(*mut f64);
+
+// SAFETY: the pointer is only dereferenced inside `mirror_upper`, whose
+// tasks access disjoint-or-read-only entries (see `MirrorPtr`), and the
+// `&mut Matrix` borrow outlives every task.
+unsafe impl Send for MirrorPtr {}
+// SAFETY: as for `Send`: shared `&MirrorPtr` copies only ever read
+// strictly-upper entries or write their own task's lower entries.
+unsafe impl Sync for MirrorPtr {}
+
+impl MirrorPtr {
+    /// Copy entry `(j, i)` onto `(i, j)` of the `n×n` buffer.
+    ///
+    /// # Safety
+    /// `i, j < n`, `j < i`, the buffer holds `n²` entries, and no other
+    /// thread writes `(j, i)` or accesses `(i, j)` concurrently.
+    #[inline]
+    unsafe fn mirror(self, n: usize, i: usize, j: usize) {
+        *self.0.add(i * n + j) = *self.0.add(j * n + i);
+    }
+}
+
 /// Dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -141,17 +174,36 @@ impl Matrix {
 
     /// Copy the upper triangle onto the lower one in place, making the
     /// matrix symmetric. Lets builders fill only `j >= i` and finish
-    /// with one linear pass instead of double-writing every entry.
+    /// with one pass instead of double-writing every entry.
+    ///
+    /// The copy runs in parallel over panels of [`MIRROR_TILE`] rows,
+    /// tile by tile within a panel. Every lower entry is a copy of one
+    /// upper entry, so the result is the same for any schedule.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn mirror_upper(&mut self) {
         assert!(self.is_square(), "mirror_upper: matrix not square");
-        for i in 1..self.rows {
-            for j in 0..i {
-                self.data[i * self.cols + j] = self.data[j * self.cols + i];
-            }
-        }
+        let n = self.rows;
+        let ptr = MirrorPtr(self.data.as_mut_ptr());
+        (0..n.div_ceil(MIRROR_TILE))
+            .into_par_iter()
+            .for_each(move |panel| {
+                let r0 = panel * MIRROR_TILE;
+                let r1 = (r0 + MIRROR_TILE).min(n);
+                for c0 in (0..r1).step_by(MIRROR_TILE) {
+                    for i in r0..r1 {
+                        for j in c0..(c0 + MIRROR_TILE).min(i) {
+                            // SAFETY: j < i < n and `data` holds n²
+                            // entries. This task alone owns rows
+                            // r0..r1, and writes only their strictly-
+                            // lower entries; (j, i) is strictly upper,
+                            // which no task writes.
+                            unsafe { ptr.mirror(n, i, j) };
+                        }
+                    }
+                }
+            });
     }
 
     /// Matrix transpose.
@@ -321,6 +373,53 @@ impl MatVec for Matrix {
 
     fn matvec(&self, x: &[f64], y: &mut [f64]) {
         self.matvec_into(x, y);
+    }
+
+    /// Streams the matrix once for the whole block: each row is dotted
+    /// with all `k` inputs while it is in cache. Every output entry goes
+    /// through the same single-row dot kernel as
+    /// [`Matrix::matvec_into`], so each product is bit-identical to a
+    /// separate `matvec` on any pool width.
+    ///
+    /// # Panics
+    /// Panics if `xs` is not a whole number of `ncols` vectors, or `ys`
+    /// does not hold the same number of `nrows` vectors.
+    fn matvec_many(&self, xs: &[f64], ys: &mut [f64]) {
+        let (rows, dim) = (self.rows, self.cols);
+        if dim == 0 {
+            ys.fill(0.0);
+            return;
+        }
+        assert_eq!(xs.len() % dim, 0, "matvec_many: ragged input block");
+        let k = xs.len() / dim;
+        assert_eq!(ys.len(), k * rows, "matvec_many: output dimension mismatch");
+        // One row-major `panel rows × k` buffer per panel, scattered into
+        // the vector-major output afterwards.
+        let panels: Vec<Vec<f64>> = (0..rows.div_ceil(MATVEC_PANEL_ROWS))
+            .into_par_iter()
+            .map(|panel| {
+                let r0 = panel * MATVEC_PANEL_ROWS;
+                let r1 = (r0 + MATVEC_PANEL_ROWS).min(rows);
+                let mut out = vec![0.0; (r1 - r0) * k];
+                for (row, acc) in self.data[r0 * dim..r1 * dim]
+                    .chunks_exact(dim)
+                    .zip(out.chunks_exact_mut(k))
+                {
+                    for (x, y) in xs.chunks_exact(dim).zip(acc.iter_mut()) {
+                        crate::gemm::abt_into(row, 1, x, 1, dim, std::slice::from_mut(y), 1);
+                    }
+                }
+                out
+            })
+            .collect();
+        for (panel, out) in panels.iter().enumerate() {
+            let r0 = panel * MATVEC_PANEL_ROWS;
+            for (r, acc) in out.chunks_exact(k).enumerate() {
+                for (c, &v) in acc.iter().enumerate() {
+                    ys[c * rows + r0 + r] = v;
+                }
+            }
+        }
     }
 }
 

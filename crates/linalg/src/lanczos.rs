@@ -171,16 +171,21 @@ pub fn lanczos<A: MatVec>(a: &A, opts: &LanczosOptions) -> LanczosResult {
         }
     }
 
-    // Residual check ‖A v − λ v‖ ≤ tol · max(1, |λ₁|).
+    // Residual check ‖A v − λ v‖ ≤ tol · max(1, |λ₁|), with all Ritz
+    // vectors multiplied in one pass over the operator.
     let lambda_scale = values.first().map(|v| v.abs()).unwrap_or(1.0).max(1.0);
+    let ritz = vectors.transpose();
+    let mut avs = vec![0.0; ritz.as_slice().len()];
+    a.matvec_many(ritz.as_slice(), &mut avs);
     let mut converged = true;
-    let mut av = vec![0.0; n];
-    #[allow(clippy::needless_range_loop)] // col indexes values + vectors
-    for col in 0..values.len() {
-        let v = vectors.col(col);
-        a.matvec(&v, &mut av);
-        vector::axpy(-values[col], &v, &mut av);
-        if vector::norm2(&av) > opts.tol.max(1e-12) * lambda_scale * 100.0 {
+    for ((v, av), &value) in ritz
+        .as_slice()
+        .chunks_exact(n)
+        .zip(avs.chunks_exact_mut(n))
+        .zip(&values)
+    {
+        vector::axpy(-value, v, av);
+        if vector::norm2(av) > opts.tol.max(1e-12) * lambda_scale * 100.0 {
             converged = false;
         }
     }

@@ -14,6 +14,21 @@ pub trait MatVec: Sync {
     /// Implementations may assume `x.len() == y.len() == self.dim()`.
     fn matvec(&self, x: &[f64], y: &mut [f64]);
 
+    /// Compute `Y = A X` for a block of vectors stored back to back:
+    /// `xs` holds `k` inputs of length `dim()`, `ys` the `k` products.
+    /// Each product must equal what [`MatVec::matvec`] gives for its
+    /// input; operators override this to read themselves once for the
+    /// whole block.
+    fn matvec_many(&self, xs: &[f64], ys: &mut [f64]) {
+        let n = self.dim();
+        if n == 0 {
+            return;
+        }
+        for (x, y) in xs.chunks_exact(n).zip(ys.chunks_exact_mut(n)) {
+            self.matvec(x, y);
+        }
+    }
+
     /// Convenience allocation wrapper around [`MatVec::matvec`].
     fn apply(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.dim()];

@@ -95,11 +95,11 @@ diff -q "$WORK/dist.csv" "$WORK/local.csv" \
 echo "assignments bit-identical across 2 workers vs single process"
 
 echo "== pack a store for the shard-addressed job =="
-"$DASC" generate --kind blobs --n 12000 --d 24 --k 6 --seed 23 \
+"$DASC" generate --kind blobs --n 20000 --d 24 --k 6 --seed 23 \
     --output "$WORK/big.csv"
 "$DASC" pack --input "$WORK/big.csv" --output "$WORK/big.dstr" \
     --shard-rows 2048 --labels-last-column | tee "$WORK/pack.log"
-grep -q 'packed 12000 rows' "$WORK/pack.log" || fail "pack reported wrong row count"
+grep -q 'packed 20000 rows' "$WORK/pack.log" || fail "pack reported wrong row count"
 "$DASC" inspect --data "$WORK/big.dstr" | tee "$WORK/inspect.log"
 grep -q 'checksums     all' "$WORK/inspect.log" || fail "inspect did not verify checksums"
 
