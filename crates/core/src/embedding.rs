@@ -12,7 +12,9 @@
 //! full dense solver for tiny or nearly-full spectra, or Lanczos for
 //! orders past the dense crossover.
 
-use dasc_linalg::{lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix};
+use dasc_linalg::{
+    lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, LanczosResult, Matrix,
+};
 use rayon::prelude::*;
 
 /// The resolved eigensolver route for one embedding
@@ -24,7 +26,8 @@ pub enum EigenPath {
     /// K-targeted dense path: factored Householder, eigenvalues-only
     /// QL, inverse iteration, blocked back-transform.
     DenseK,
-    /// Lanczos with full reorthogonalization on the dense operator.
+    /// Block Lanczos with full reorthogonalization on the dense
+    /// operator.
     Lanczos,
 }
 
@@ -123,12 +126,28 @@ pub fn top_eigenvectors_with(l: &Matrix, k: usize, path: EigenPath, seed: u64) -
     match path {
         EigenPath::DenseFull => symmetric_eigen(l).top_k(k).1,
         EigenPath::DenseK => symmetric_eigen_topk(l, k).eigenvectors,
-        EigenPath::Lanczos => {
-            let mut opts = LanczosOptions::top(k);
-            opts.seed = seed;
-            lanczos(l, &opts).eigenvectors
-        }
+        EigenPath::Lanczos => lanczos_top(l, k, seed).eigenvectors,
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Krylov budget for [`lanczos_top`] on this thread: unit tests set
+    /// it to force a solve that cannot converge.
+    pub(crate) static TEST_MAX_SUBSPACE: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The `k` leading eigenpairs of `l` by Lanczos with default knobs and
+/// start seed `seed`, with the solver's convergence report.
+pub(crate) fn lanczos_top(l: &Matrix, k: usize, seed: u64) -> LanczosResult {
+    let mut opts = LanczosOptions::top(k);
+    opts.seed = seed;
+    #[cfg(test)]
+    {
+        opts.max_subspace = TEST_MAX_SUBSPACE.get();
+    }
+    lanczos(l, &opts)
 }
 
 /// Top-`k` eigenvectors with the automatic path resolution of

@@ -8,8 +8,8 @@ use dasc_linalg::{FlatPoints, Matrix};
 use dasc_obs::span;
 
 use crate::embedding::{
-    normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with,
-    EigenPath,
+    lanczos_top, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
+    top_eigenvectors_with, EigenPath,
 };
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
@@ -130,6 +130,12 @@ pub struct SpectralBreakdown {
     pub kmeans: Duration,
     /// The eigensolver route that actually ran.
     pub path: EigenPath,
+    /// Whether every eigenpair met the solver's residual check (always
+    /// true on the dense paths).
+    pub converged: bool,
+    /// Krylov subspace dimension the Lanczos path built (zero on the
+    /// dense paths).
+    pub subspace_dim: usize,
 }
 
 impl Default for SpectralBreakdown {
@@ -140,6 +146,8 @@ impl Default for SpectralBreakdown {
             eigen: Duration::ZERO,
             kmeans: Duration::ZERO,
             path: EigenPath::DenseFull,
+            converged: true,
+            subspace_dim: 0,
         }
     }
 }
@@ -218,7 +226,15 @@ impl SpectralClustering {
         };
         breakdown.path = path;
         let eigen_span = span!("dasc.cluster.eigen");
-        let mut v = top_eigenvectors_with(&l, k, path, self.config.seed);
+        let mut v = match path {
+            EigenPath::Lanczos => {
+                let res = lanczos_top(&l, k, self.config.seed);
+                breakdown.converged = res.converged;
+                breakdown.subspace_dim = res.subspace_dim;
+                res.eigenvectors
+            }
+            _ => top_eigenvectors_with(&l, k, path, self.config.seed),
+        };
         drop(l);
         breakdown.eigen = eigen_span.finish();
 

@@ -375,11 +375,12 @@ impl MatVec for Matrix {
         self.matvec_into(x, y);
     }
 
-    /// Streams the matrix once for the whole block: each row is dotted
-    /// with all `k` inputs while it is in cache. Every output entry goes
-    /// through the same single-row dot kernel as
-    /// [`Matrix::matvec_into`], so each product is bit-identical to a
-    /// separate `matvec` on any pool width.
+    /// Streams the matrix once for the whole block: each row panel goes
+    /// through [`crate::simd::dot_many`], which loads a row once per
+    /// depth step for a group of inputs. Every output entry keeps the
+    /// accumulators and summation order of the single-row dot kernel
+    /// behind [`Matrix::matvec_into`], so each product is bit-identical
+    /// to a separate `matvec` on any pool width.
     ///
     /// # Panics
     /// Panics if `xs` is not a whole number of `ncols` vectors, or `ys`
@@ -393,6 +394,7 @@ impl MatVec for Matrix {
         assert_eq!(xs.len() % dim, 0, "matvec_many: ragged input block");
         let k = xs.len() / dim;
         assert_eq!(ys.len(), k * rows, "matvec_many: output dimension mismatch");
+        let backend = crate::simd::KernelBackend::resolved();
         // One row-major `panel rows × k` buffer per panel, scattered into
         // the vector-major output afterwards.
         let panels: Vec<Vec<f64>> = (0..rows.div_ceil(MATVEC_PANEL_ROWS))
@@ -401,14 +403,8 @@ impl MatVec for Matrix {
                 let r0 = panel * MATVEC_PANEL_ROWS;
                 let r1 = (r0 + MATVEC_PANEL_ROWS).min(rows);
                 let mut out = vec![0.0; (r1 - r0) * k];
-                for (row, acc) in self.data[r0 * dim..r1 * dim]
-                    .chunks_exact(dim)
-                    .zip(out.chunks_exact_mut(k))
-                {
-                    for (x, y) in xs.chunks_exact(dim).zip(acc.iter_mut()) {
-                        crate::gemm::abt_into(row, 1, x, 1, dim, std::slice::from_mut(y), 1);
-                    }
-                }
+                let panel_rows = &self.data[r0 * dim..r1 * dim];
+                crate::simd::dot_many(backend, panel_rows, r1 - r0, xs, k, dim, &mut out);
                 out
             })
             .collect();

@@ -505,6 +505,35 @@ pub(crate) fn dot1(a: &[f64], b: &[f64], dim: usize) -> f64 {
     (s0 + s1) + (s2 + s3)
 }
 
+/// [`dot1`] of one row against `N` vectors stored back to back at
+/// stride `dim` in `xs`: the row entries are loaded once per depth step
+/// for all `N` vectors, and each vector keeps `dot1`'s own four chains
+/// and reduction, so every output is bit for bit its `dot1`.
+#[inline(always)]
+pub(crate) fn dot1_group<const N: usize>(a: &[f64], xs: &[f64], dim: usize) -> [f64; N] {
+    let a = &a[..dim];
+    let x: [&[f64]; N] = std::array::from_fn(|v| &xs[v * dim..(v + 1) * dim]);
+    let mut s = [[0.0f64; 4]; N];
+    let mut k = 0;
+    while k + 4 <= dim {
+        let (a0, a1, a2, a3) = (a[k], a[k + 1], a[k + 2], a[k + 3]);
+        for (acc, x) in s.iter_mut().zip(&x) {
+            acc[0] += a0 * x[k];
+            acc[1] += a1 * x[k + 1];
+            acc[2] += a2 * x[k + 2];
+            acc[3] += a3 * x[k + 3];
+        }
+        k += 4;
+    }
+    while k < dim {
+        for (acc, x) in s.iter_mut().zip(&x) {
+            acc[0] += a[k] * x[k];
+        }
+        k += 1;
+    }
+    s.map(|acc| (acc[0] + acc[1]) + (acc[2] + acc[3]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

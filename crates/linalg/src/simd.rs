@@ -3,7 +3,8 @@
 //! Every O(n²) loop in the pipeline bottoms out in a handful of
 //! primitives over contiguous `f64` rows: the unrolled dot product and
 //! the 4-column panel kernel behind `gemm::{abt_into, sq_dists_into}`,
-//! plus `axpy` on the Lanczos path. This module provides explicitly
+//! plus, on the Lanczos path, `axpy` and the one-row, many-vector dot
+//! behind the dense block matvec. This module provides explicitly
 //! vectorized implementations of those primitives — AVX2+FMA on
 //! `x86_64`, NEON on `aarch64` — behind a process-wide
 //! [`KernelBackend`] resolved exactly once from the `DASC_KERNEL`
@@ -174,6 +175,85 @@ pub fn dot(backend: KernelBackend, a: &[f64], b: &[f64], dim: usize) -> f64 {
     }
 }
 
+/// Vectors per register group in [`dot_many`]: four vectors' two
+/// accumulator chains take eight vector registers, leaving room for the
+/// row loads.
+const DOT_GROUP: usize = 4;
+
+/// Dots of `rows` rows of `a` with `nv` vectors of `xs`, both stored
+/// back to back at stride `dim`: `out[r * nv + v]` is row `r` dotted
+/// with vector `v`. Each row is loaded once per depth step for a group
+/// of up to four vectors, and each output keeps [`dot`]'s own
+/// accumulators and reduction order, so it is bit for bit
+/// `dot(backend, row r, vector v, dim)`. This is what lets the dense
+/// block matvec read each matrix row once for a whole block of vectors.
+///
+/// # Panics
+/// Panics if `a`, `xs` or `out` is shorter than `rows · dim`,
+/// `nv · dim` or `rows · nv`.
+pub fn dot_many(
+    backend: KernelBackend,
+    a: &[f64],
+    rows: usize,
+    xs: &[f64],
+    nv: usize,
+    dim: usize,
+    out: &mut [f64],
+) {
+    let holds = |len: usize, x: usize, y: usize| x.checked_mul(y).is_some_and(|need| len >= need);
+    assert!(
+        holds(a.len(), rows, dim) && holds(xs.len(), nv, dim) && holds(out.len(), rows, nv),
+        "simd dot_many: short operand"
+    );
+    if nv == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if backend == KernelBackend::Avx2Fma {
+        // SAFETY: availability checked at resolution; operand lengths
+        // asserted above.
+        unsafe { avx2::dot_many(a.as_ptr(), rows, xs.as_ptr(), nv, dim, out) };
+        return;
+    }
+    for (r, out_row) in out[..rows * nv].chunks_exact_mut(nv).enumerate() {
+        let row = &a[r * dim..];
+        for (g, chunk) in out_row.chunks_mut(DOT_GROUP).enumerate() {
+            let x = &xs[g * DOT_GROUP * dim..];
+            match chunk.len() {
+                4 => chunk.copy_from_slice(&dot_group::<4>(backend, row, x, dim)),
+                3 => chunk.copy_from_slice(&dot_group::<3>(backend, row, x, dim)),
+                2 => chunk.copy_from_slice(&dot_group::<2>(backend, row, x, dim)),
+                _ => chunk[0] = dot(backend, row, x, dim),
+            }
+        }
+    }
+}
+
+/// One row against one register group of vectors, for the backends
+/// [`dot_many`] runs row by row: NEON, and scalar (the arm any other
+/// backend reaches only on hosts where it cannot be resolved).
+#[inline]
+fn dot_group<const N: usize>(
+    backend: KernelBackend,
+    a: &[f64],
+    xs: &[f64],
+    dim: usize,
+) -> [f64; N] {
+    match backend {
+        KernelBackend::Neon => {
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: availability checked at resolution; `dot_many`
+            // asserted `dim` entries behind `a` and `N · dim` behind `xs`.
+            unsafe {
+                neon::dot_group::<N>(a.as_ptr(), xs.as_ptr(), dim)
+            }
+            #[cfg(not(target_arch = "aarch64"))]
+            crate::gemm::dot1_group::<N>(a, xs, dim)
+        }
+        _ => crate::gemm::dot1_group::<N>(a, xs, dim),
+    }
+}
+
 /// `y += alpha * x` on an explicit backend (BLAS `axpy`). Elementwise,
 /// so every backend touches `y[i]` exactly once; SIMD backends fuse the
 /// multiply-add where the scalar path rounds twice.
@@ -264,6 +344,114 @@ pub(crate) mod avx2 {
             k += 1;
         }
         s
+    }
+
+    /// Depth entries per block in [`dot_many`]: 256 `f64`s (2 KiB) of
+    /// each of a panel's vectors stay in L1 while the panel's rows
+    /// stream past them. A multiple of 8, so blocks end where `dot`'s
+    /// 8-step loop does.
+    const DEPTH_BLOCK: usize = 256;
+
+    /// [`dot`] of each of `rows` rows against each of `nv` vectors (both
+    /// back to back at stride `dim`) into `out[r * nv + v]`, blocked
+    /// over the depth: for each depth block, every row runs its groups
+    /// of up to four vectors over that block, carrying its two FMA
+    /// chains per vector to the next block. Every chain sees the same
+    /// FMAs in the same order as in `dot`, and the 4-step remainder,
+    /// reduction and scalar tail follow it exactly, so every output is
+    /// bit for bit its `dot`.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA, `rows · dim` readable elements behind `a`,
+    /// `nv · dim` behind `xs`, and `out.len() >= rows · nv`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_many(
+        a: *const f64,
+        rows: usize,
+        xs: *const f64,
+        nv: usize,
+        dim: usize,
+        out: &mut [f64],
+    ) {
+        // Depth covered by `dot`'s 8-step loop.
+        let full = dim - dim % 8;
+        let mut chains = vec![_mm256_setzero_pd(); 2 * rows * nv];
+        let mut k0 = 0;
+        while k0 < full {
+            let k1 = (k0 + DEPTH_BLOCK).min(full);
+            for (r, state) in chains.chunks_exact_mut(2 * nv).enumerate() {
+                let row = a.add(r * dim);
+                let mut v = 0;
+                while v < nv {
+                    let x = xs.add(v * dim);
+                    let group = &mut state[2 * v..];
+                    v += match nv - v {
+                        1 => block_group::<1>(row, x, dim, k0, k1, group),
+                        2 => block_group::<2>(row, x, dim, k0, k1, group),
+                        3 => block_group::<3>(row, x, dim, k0, k1, group),
+                        _ => block_group::<4>(row, x, dim, k0, k1, group),
+                    };
+                }
+            }
+            k0 = k1;
+        }
+        for (r, state) in chains.chunks_exact(2 * nv).enumerate() {
+            let row = a.add(r * dim);
+            for v in 0..nv {
+                let x = xs.add(v * dim);
+                let (mut acc0, acc1) = (state[2 * v], state[2 * v + 1]);
+                let mut k = full;
+                if k + 4 <= dim {
+                    acc0 = _mm256_fmadd_pd(
+                        _mm256_loadu_pd(row.add(k)),
+                        _mm256_loadu_pd(x.add(k)),
+                        acc0,
+                    );
+                    k += 4;
+                }
+                let mut s = hsum(_mm256_add_pd(acc0, acc1));
+                for t in k..dim {
+                    s += *row.add(t) * *x.add(t);
+                }
+                out[r * nv + v] = s;
+            }
+        }
+    }
+
+    /// `dot`'s 8-step loop over depth `k0..k1` of one row against `N`
+    /// vectors at stride `dim`, continuing the chains in `state`
+    /// (`acc0, acc1` per vector). Returns `N`.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; `k1 <= dim` entries behind `a` and each
+    /// vector, `k1 - k0` a multiple of 8, `state.len() >= 2N`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn block_group<const N: usize>(
+        a: *const f64,
+        xs: *const f64,
+        dim: usize,
+        k0: usize,
+        k1: usize,
+        state: &mut [__m256d],
+    ) -> usize {
+        let x: [*const f64; N] = std::array::from_fn(|v| xs.add(v * dim));
+        let mut acc0: [__m256d; N] = std::array::from_fn(|v| state[2 * v]);
+        let mut acc1: [__m256d; N] = std::array::from_fn(|v| state[2 * v + 1]);
+        let mut k = k0;
+        while k < k1 {
+            let (a0, a1) = (_mm256_loadu_pd(a.add(k)), _mm256_loadu_pd(a.add(k + 4)));
+            for v in 0..N {
+                acc0[v] = _mm256_fmadd_pd(a0, _mm256_loadu_pd(x[v].add(k)), acc0[v]);
+                acc1[v] = _mm256_fmadd_pd(a1, _mm256_loadu_pd(x[v].add(k + 4)), acc1[v]);
+            }
+            k += 8;
+        }
+        for v in 0..N {
+            state[2 * v] = acc0[v];
+            state[2 * v + 1] = acc1[v];
+        }
+        N
     }
 
     /// Panel kernel: one `A` row against four `B` rows, one 4-lane FMA
@@ -422,6 +610,46 @@ pub(crate) mod neon {
             k += 1;
         }
         s
+    }
+
+    /// [`dot`] of one row against `N` vectors stored back to back at
+    /// stride `dim`: the row vectors are loaded once per depth step for
+    /// all `N`, and each vector keeps `dot`'s two FMA chains, reduction
+    /// and scalar tail, so every output is bit for bit its `dot`.
+    ///
+    /// # Safety
+    /// Requires NEON, `dim` readable elements behind `a` and `N · dim`
+    /// behind `xs`.
+    #[target_feature(enable = "neon")]
+    pub unsafe fn dot_group<const N: usize>(a: *const f64, xs: *const f64, dim: usize) -> [f64; N] {
+        let x: [*const f64; N] = std::array::from_fn(|v| xs.add(v * dim));
+        let mut acc0 = [vdupq_n_f64(0.0); N];
+        let mut acc1 = [vdupq_n_f64(0.0); N];
+        let mut k = 0;
+        while k + 4 <= dim {
+            let (a0, a1) = (vld1q_f64(a.add(k)), vld1q_f64(a.add(k + 2)));
+            for v in 0..N {
+                acc0[v] = vfmaq_f64(acc0[v], a0, vld1q_f64(x[v].add(k)));
+                acc1[v] = vfmaq_f64(acc1[v], a1, vld1q_f64(x[v].add(k + 2)));
+            }
+            k += 4;
+        }
+        if k + 2 <= dim {
+            let a0 = vld1q_f64(a.add(k));
+            for v in 0..N {
+                acc0[v] = vfmaq_f64(acc0[v], a0, vld1q_f64(x[v].add(k)));
+            }
+            k += 2;
+        }
+        let mut out = [0.0; N];
+        for v in 0..N {
+            let mut s = vaddvq_f64(vaddq_f64(acc0[v], acc1[v]));
+            for t in k..dim {
+                s += *a.add(t) * *x[v].add(t);
+            }
+            out[v] = s;
+        }
+        out
     }
 
     /// Panel kernel: one `A` row against four `B` rows, one 2-lane FMA

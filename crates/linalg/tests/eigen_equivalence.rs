@@ -2,9 +2,10 @@
 //! factored-Householder + inverse-iteration path must land on the same
 //! eigenpairs as the full `symmetric_eigen` decomposition — entrywise
 //! up to column sign when the spectrum is simple, and as the same
-//! invariant subspace when eigenvalues cluster or degenerate.
+//! invariant subspace when eigenvalues cluster or degenerate. Block
+//! Lanczos must do the same on a nearly degenerate leading eigenspace.
 
-use dasc_linalg::{symmetric_eigen, symmetric_eigen_topk, Matrix};
+use dasc_linalg::{lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: an `n×n` symmetric matrix with entries in [-1, 1].
@@ -187,4 +188,65 @@ fn k_equals_n_matches_full_decomposition() {
         assert!((got - want).abs() < 1e-9);
     }
     assert!(max_signed_column_diff(&full_vecs, &top.eigenvectors) <= 1e-9);
+}
+
+/// Deterministic noise in `[0, 1)` for entry `(i, j)`.
+fn noise(i: usize, j: usize) -> f64 {
+    let x = (i as u64 * 7919 + j as u64 * 104_729).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (x >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The normalized Laplacian `D^{-1/2} S D^{-1/2}` of `blocks` equal
+/// blocks of `per` points: a Gaussian kernel (σ = 0.3) on points spread
+/// over the unit cube inside each block, and noisy entries of order
+/// `1e-6` between blocks. Its `blocks` leading eigenvalues all lie
+/// within about `1e-5` of 1 with no exact breakdown, and each block's
+/// own spectrum spreads below them, as a DASC bucket's does.
+fn weakly_coupled_laplacian(blocks: usize, per: usize) -> Matrix {
+    let n = blocks * per;
+    let sigma = 0.3;
+    let x: Vec<[f64; 3]> = (0..n)
+        .map(|i| [noise(i, 1), noise(i, 2), noise(i, 3)])
+        .collect();
+    let s = Matrix::from_fn(n, n, |i, j| {
+        let (lo, hi) = (i.min(j), i.max(j));
+        if lo / per == hi / per {
+            let d2: f64 = x[i].iter().zip(&x[j]).map(|(a, b)| (a - b) * (a - b)).sum();
+            (-d2 / (2.0 * sigma * sigma)).exp()
+        } else {
+            1e-6 * noise(lo, hi)
+        }
+    });
+    let inv_sqrt: Vec<f64> = (0..n)
+        .map(|i| 1.0 / s.row(i).iter().sum::<f64>().sqrt())
+        .collect();
+    Matrix::from_fn(n, n, |i, j| inv_sqrt[i] * s[(i, j)] * inv_sqrt[j])
+}
+
+#[test]
+fn lanczos_keeps_every_eigenvalue_of_a_nearly_degenerate_leading_eigenspace() {
+    // Six weakly coupled blocks, n = 540 (past the 512-point crossover
+    // at which DASC buckets take Lanczos), k = 6. A single-start Krylov
+    // space resolves only part of the six-fold eigenvalue near 1 and
+    // fills the rest of the top six from the blocks' own spectra.
+    let (blocks, k) = (6, 6);
+    let l = weakly_coupled_laplacian(blocks, 90);
+    let dense = symmetric_eigen_topk(&l, k);
+    let (dense_vals, dense_vecs) = (dense.eigenvalues, dense.eigenvectors);
+    assert!(dense_vals[k - 1] > 0.99, "test matrix: {dense_vals:?}");
+    let res = lanczos(&l, &LanczosOptions::top(k));
+    assert!(res.converged, "subspace {}", res.subspace_dim);
+    for (got, want) in res.eigenvalues.iter().zip(&dense_vals) {
+        assert!(
+            (got - want).abs() < 1e-8,
+            "{:?} vs {dense_vals:?}",
+            res.eigenvalues
+        );
+    }
+    assert!(max_residual(&l, &res.eigenvalues, &res.eigenvectors) < 1e-8);
+    assert!(orthonormality_defect(&res.eigenvectors) < 1e-9);
+    let p_lanczos = res.eigenvectors.matmul(&res.eigenvectors.transpose());
+    let p_dense = dense_vecs.matmul(&dense_vecs.transpose());
+    let diff = p_lanczos.max_abs_diff(&p_dense);
+    assert!(diff < 1e-6, "projector deviation {diff}");
 }

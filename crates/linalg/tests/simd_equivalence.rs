@@ -410,3 +410,37 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Contract 3, fixed cases: the multi-vector dot.
+// ---------------------------------------------------------------------
+
+#[test]
+fn dot_many_is_each_backends_dot_bit_for_bit() {
+    // Rows against 1–9 vectors (two register groups and every
+    // remainder) at depths that hit each lane-remainder path, and past
+    // the depth blocking: every output must be the backend's
+    // single-vector `dot` exactly, which is what keeps the dense block
+    // matvec bit-identical to `matvec`.
+    for dim in [0usize, 1, 3, 4, 7, 8, 63, 65, 1031] {
+        for rows in [1usize, 3] {
+            let a = coords(rows * dim, 21);
+            for count in 1..=9usize {
+                let xs = coords(count * dim, 22 + count as u64);
+                for be in KernelBackend::all_available() {
+                    let mut got = vec![f64::NAN; rows * count];
+                    simd::dot_many(be, &a, rows, &xs, count, dim, &mut got);
+                    for (i, g) in got.iter().enumerate() {
+                        let (r, v) = (i / count, i % count);
+                        let want = simd::dot(be, &a[r * dim..], &xs[v * dim..], dim);
+                        assert!(
+                            g.to_bits() == want.to_bits(),
+                            "{} dim={dim} rows={rows} count={count} ({r}, {v}): {g:?} vs {want:?}",
+                            be.as_str()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
