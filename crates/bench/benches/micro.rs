@@ -92,9 +92,9 @@ fn bench_kmeans(c: &mut Criterion) {
 }
 
 fn bench_consumers(c: &mut Criterion) {
-    // The three downstream consumers of the approximate Gram matrix:
-    // spectral clustering is covered end-to-end in `ablations`; here the
-    // ridge and KPCA solves, exact vs block-diagonal.
+    // Downstream consumers of the approximate Gram matrix: spectral
+    // clustering is covered end-to-end in `ablations`; here the ridge
+    // solve, exact vs block-diagonal.
     let mut g = c.benchmark_group("consumers");
     g.sample_size(10);
     let n = 512usize;
@@ -119,12 +119,6 @@ fn bench_consumers(c: &mut Criterion) {
             ))
         })
     });
-    g.bench_function("kpca_exact_8d", |b| {
-        b.iter(|| black_box(dasc_kernel::kernel_pca(&ds.points, &kernel, 8)))
-    });
-    g.bench_function("kpca_blocks_8d", |b| {
-        b.iter(|| black_box(dasc_kernel::kernel_pca_blocks(&gram, 8)))
-    });
     g.finish();
 }
 
@@ -140,9 +134,6 @@ fn bench_metrics(c: &mut Criterion) {
     });
     g.bench_function("dbi", |b| {
         b.iter(|| black_box(dasc_metrics::davies_bouldin(&ds.points, &labels, 8)))
-    });
-    g.bench_function("silhouette", |b| {
-        b.iter(|| black_box(dasc_metrics::silhouette(&ds.points, &labels, 8)))
     });
     g.bench_function("nmi", |b| {
         b.iter(|| black_box(dasc_metrics::nmi(&shifted, &labels)))

@@ -11,10 +11,11 @@
 //! the in-process distributed engine before it is reported.
 //!
 //! Each size is additionally submitted *by reference* against a packed
-//! `.dstr` store, so the JSON records both `shuffle_bytes` (inline:
-//! tasks carry points) and `shuffle_bytes_ref` (shard-addressed: tasks
-//! carry shard tables, workers pull shards through their caches). The
-//! ref run is asserted bit-identical to the inline run.
+//! `.dstr` store, so the JSON records both `shuffle_bytes` (inline
+//! submission, run over the coordinator's in-memory store) and
+//! `shuffle_bytes_ref` (on-disk store). Either way tasks carry shard
+//! tables and workers pull shards through their caches. The ref run is
+//! asserted bit-identical to the inline run.
 //!
 //! Usage: `bench_dist [--full] [--workers N] [--out PATH]`. Sizes
 //! default to the quick set; `--full`/`DASC_SCALE=full` switches to

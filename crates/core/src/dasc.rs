@@ -31,7 +31,7 @@ use dasc_mapreduce::{
 };
 use rayon::prelude::*;
 
-use crate::embedding::EigenPath;
+use crate::embedding::{EigenPath, LANCZOS_THRESHOLD};
 use crate::spectral::{SpectralBreakdown, SpectralClustering, SpectralConfig};
 use crate::Clustering;
 
@@ -68,7 +68,7 @@ impl DascConfig {
             k,
             kernel: Kernel::gaussian(0.2),
             lsh: LshConfig::for_dataset(n),
-            lanczos_threshold: 512,
+            lanczos_threshold: LANCZOS_THRESHOLD,
             consolidate: true,
             seed: 0xDA5C,
         }
@@ -400,12 +400,12 @@ impl Dasc {
         // Stage 1: LSH signatures via MapReduce.
         let stage1_span = span!("dasc.stage1.lsh_map");
         let model = SignatureModel::fit(points, &self.config.lsh);
-        let mapper = FnMapper::new(
-            |index: usize, point: Vec<f64>, emit: &mut dyn FnMut(u64, usize)| {
-                emit(model.hash(&point).bits(), index);
-            },
-        );
-        let inputs: Vec<(usize, Vec<f64>)> = points.iter().cloned().enumerate().collect();
+        // Map inputs are point indices: each task hashes its rows in
+        // place instead of the engine copying every point into them.
+        let mapper = FnMapper::new(|index: usize, (): (), emit: &mut dyn FnMut(u64, usize)| {
+            emit(model.hash(&points[index]).bits(), index);
+        });
+        let inputs: Vec<(usize, ())> = (0..n).map(|i| (i, ())).collect();
         let grouped = run_map_only(&mapper, inputs, cluster);
         let stage1 = grouped.stats.clone();
         stage1_span.finish();

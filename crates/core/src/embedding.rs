@@ -46,6 +46,11 @@ impl EigenPath {
 /// inverse-iteration machinery isn't worth its bookkeeping.
 const DENSE_FULL_MAX: usize = 64;
 
+/// Default dense→Lanczos crossover: problems of larger order take
+/// Lanczos. `DascConfig` and `SpectralConfig` default to it, and the
+/// dist coordinator sends it with every reduce task.
+pub const LANCZOS_THRESHOLD: usize = 512;
+
 /// Resolve the automatic eigensolver choice for an `n×n` problem
 /// wanting `k` vectors: full dense for tiny orders or nearly-full
 /// spectra (`4k ≥ n`), the k-targeted dense path up to

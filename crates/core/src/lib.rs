@@ -23,7 +23,6 @@
 //!   clustering, Fowlkes-style normalization).
 
 pub mod dasc;
-pub mod distributed_kmeans;
 pub mod embedding;
 pub mod kmeans;
 pub mod local_scaling;
@@ -31,17 +30,15 @@ pub mod nystrom_sc;
 pub mod psc;
 pub mod regression;
 pub mod spectral;
-pub mod streaming;
 
 pub use dasc::{
     bucket_cluster_count, cluster_bucket_flat, consolidate, stitch_distributed, Dasc, DascConfig,
     DascDistributedResult, DascResult, DascTrained, DascTrainedDistributed,
 };
 pub use dasc_linalg::KernelBackend;
-pub use distributed_kmeans::{distributed_kmeans, DistributedKMeansResult};
 pub use embedding::{
     normalized_laplacian, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
-    top_eigenvectors, top_eigenvectors_with, EigenPath,
+    top_eigenvectors, top_eigenvectors_with, EigenPath, LANCZOS_THRESHOLD,
 };
 pub use kmeans::{AssignPath, KMeans, KMeansConfig, KMeansResult};
 pub use local_scaling::{local_scales, local_scaling_similarity};
@@ -52,7 +49,6 @@ pub use spectral::{
     EigenBackend, LaplacianKind, SpectralBreakdown, SpectralClustering, SpectralConfig,
     SpectralResult,
 };
-pub use streaming::StreamingDasc;
 
 /// A cluster assignment over `n` points.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -9,7 +9,7 @@ use dasc_obs::span;
 
 use crate::embedding::{
     lanczos_top, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
-    top_eigenvectors_with, EigenPath,
+    top_eigenvectors_with, EigenPath, LANCZOS_THRESHOLD,
 };
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
@@ -68,7 +68,7 @@ impl SpectralConfig {
             k,
             kernel: Kernel::gaussian(0.2),
             backend: EigenBackend::Auto,
-            lanczos_threshold: 512,
+            lanczos_threshold: LANCZOS_THRESHOLD,
             laplacian: LaplacianKind::Symmetric,
             seed: 0x5BEC,
         }

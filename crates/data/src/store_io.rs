@@ -107,7 +107,7 @@ pub fn dataset_from_store(reader: &StoreReader) -> Result<Dataset, StoreError> {
     let labels = reader.labels()?;
     let name = reader
         .path()
-        .file_stem()
+        .and_then(Path::file_stem)
         .map_or_else(|| "store".to_string(), |s| s.to_string_lossy().into_owned());
     Ok(Dataset::new(points, labels, name))
 }

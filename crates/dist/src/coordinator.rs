@@ -7,17 +7,19 @@
 //!
 //! 1. fit the LSH signature model locally (cheap, needs the whole
 //!    dataset's histograms — same as the in-process path);
-//! 2. stage 1: one `MapSignatures` task per `split_ranges` slice;
+//! 2. stage 1: one `MapSignaturesRef` task per `split_ranges` slice;
 //! 3. between-stage merge: rebuild per-point signatures, form and
 //!    merge buckets (identical code to the in-process engine);
-//! 4. stage 2: one `ReduceBucket` task per merged bucket;
+//! 4. stage 2: one `ReduceBucketRef` task per merged bucket;
 //! 5. stitch + consolidate locally via the shared `dasc-core` helpers.
 //!
-//! Jobs submitted against a packed dataset store ([`JobData::Ref`])
-//! follow the same flow with the `*Ref` task kinds: tasks carry the
-//! [`DatasetManifest`] and row ranges instead of points, and the
-//! coordinator doubles as the name node, serving raw shard bytes to
-//! workers on [`Msg::ShardRequest`] out of the mmap'd store.
+//! Every job computes over a dataset store. A [`JobData::Ref`] job
+//! opens a packed `.dstr` store on the coordinator's filesystem; a
+//! [`JobData::Inline`] job packs its points into an in-memory store
+//! with the same encoding, registered for the life of the job. Tasks
+//! carry the [`DatasetManifest`] and row ranges instead of points, and
+//! the coordinator doubles as the name node, serving raw shard bytes to
+//! workers on [`Msg::ShardRequest`].
 //!
 //! Because every numerical step is the same shared function the
 //! in-process engine calls, the final assignments are bit-identical to
@@ -45,12 +47,14 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dasc_core::{bucket_cluster_count, consolidate, stitch_distributed, Clustering};
+use dasc_core::{
+    bucket_cluster_count, consolidate, stitch_distributed, Clustering, LANCZOS_THRESHOLD,
+};
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{split_ranges, ClusterConfig};
 use dasc_net::{ConnId, Server, ServerConfig, ServerHandle, Service};
 use dasc_obs::{labeled, span, InstantRecord, MetricsSnapshot, SpanRecord, TraceLane};
-use dasc_store::{DatasetManifest, StoreReader};
+use dasc_store::{DatasetManifest, StoreReader, DEFAULT_SHARD_ROWS};
 
 use crate::httpd::HttpHandle;
 use crate::proto::{stage, JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput};
@@ -183,10 +187,40 @@ pub(crate) struct State {
     /// with `collect_trace`).
     traces: HashMap<u64, JobTrace>,
     /// Open dataset stores, keyed by content hash — the coordinator's
-    /// name-node table. Registered at ref-job submission, retained for
-    /// the server's lifetime so late shard fetches (retried tasks,
-    /// follow-up jobs on the same dataset) keep resolving.
-    datasets: HashMap<u64, Arc<StoreReader>>,
+    /// name-node table.
+    datasets: HashMap<u64, RegisteredStore>,
+}
+
+/// A store in the name-node table.
+struct RegisteredStore {
+    reader: Arc<StoreReader>,
+    /// Running inline jobs computing over this store.
+    inline_jobs: usize,
+    /// Registered by a ref job: retained for the server's lifetime so
+    /// late shard fetches (retried tasks, follow-up jobs on the same
+    /// dataset) keep resolving. An entry only inline jobs hold leaves
+    /// the table when the last of them ends.
+    pinned: bool,
+}
+
+/// An inline job's hold on its store's table entry, released on drop.
+struct InlineLease<'a> {
+    shared: &'a SharedState,
+    content_hash: u64,
+}
+
+impl Drop for InlineLease<'_> {
+    fn drop(&mut self) {
+        let Ok(mut state) = self.shared.inner.lock() else {
+            return;
+        };
+        if let Some(entry) = state.datasets.get_mut(&self.content_hash) {
+            entry.inline_jobs -= 1;
+            if entry.inline_jobs == 0 && !entry.pinned {
+                state.datasets.remove(&self.content_hash);
+            }
+        }
+    }
 }
 
 pub(crate) struct WorkerInfo {
@@ -778,13 +812,11 @@ impl CoordinatorService {
                     // side so the series exist even for workers that die
                     // before their next heartbeat ships metrics.
                     let duration_us = inflight.assigned_at.elapsed().as_micros() as u64;
-                    let stage_name = match inflight.task.kind {
-                        TaskKind::MapSignatures { .. } | TaskKind::MapSignaturesRef { .. } => "map",
-                        TaskKind::ReduceBucket { .. } | TaskKind::ReduceBucketRef { .. } => {
-                            "reduce"
-                        }
-                    };
-                    let series = labeled("dasc_dist_task_duration_us", "stage", stage_name);
+                    let series = labeled(
+                        "dasc_dist_task_duration_us",
+                        "stage",
+                        inflight.task.kind.stage(),
+                    );
                     reg.observe(&series, duration_us);
                     if let Some(name) = worker_name.as_deref() {
                         reg.observe(&labeled(&series, "worker", name), duration_us);
@@ -901,7 +933,7 @@ impl CoordinatorService {
                 // outside it — shard serving must not stall scheduling.
                 let reader = {
                     let state = shared.inner.lock().expect("state");
-                    state.datasets.get(&dataset).cloned()
+                    state.datasets.get(&dataset).map(|d| Arc::clone(&d.reader))
                 };
                 match reader {
                     Some(r) => match r.shard_file_bytes(shard as usize) {
@@ -961,24 +993,13 @@ fn output_volume(output: &TaskOutput) -> (u64, u64) {
 /// Payload accounting for task *inputs*: the approximate wire bytes the
 /// coordinator ships to a worker inside one task body (counted once per
 /// task at build time; a retried task re-ships but isn't re-counted).
-/// Inline tasks carry their points; shard-addressed tasks carry only
-/// the hash planes / member ids plus a manifest — the gap between the
-/// two is the shuffle saving the dataset store buys, and it is what
-/// `JobOutcome::shuffle_bytes` measures alongside the output volume.
-pub fn task_input_volume(kind: &TaskKind) -> u64 {
+/// Tasks carry hash planes or member ids plus a manifest, never points;
+/// `JobOutcome::shuffle_bytes` sums this with the output volume.
+fn task_input_volume(kind: &TaskKind) -> u64 {
     fn manifest_bytes(m: &DatasetManifest) -> u64 {
         37 + 24 * m.shards.len() as u64
     }
-    fn points_bytes(points: &[Vec<f64>]) -> u64 {
-        points.iter().map(|p| 4 + 8 * p.len() as u64).sum()
-    }
     match kind {
-        TaskKind::MapSignatures { planes, points, .. } => {
-            16 * planes.len() as u64 + points_bytes(points) + 16
-        }
-        TaskKind::ReduceBucket {
-            members, points, ..
-        } => 8 * members.len() as u64 + points_bytes(points) + 29,
         TaskKind::MapSignaturesRef {
             planes, manifest, ..
         } => 16 * planes.len() as u64 + manifest_bytes(manifest) + 16,
@@ -988,18 +1009,70 @@ pub fn task_input_volume(kind: &TaskKind) -> u64 {
     }
 }
 
-/// The resolved dataset a job computes over: the submission's inline
-/// points, or an opened (verified) store served shard-wise to workers.
-enum DataSource<'a> {
-    Inline(&'a [Vec<f64>]),
-    Store(Arc<StoreReader>),
-}
-
-impl DataSource<'_> {
-    fn len(&self) -> usize {
-        match self {
-            DataSource::Inline(points) => points.len(),
-            DataSource::Store(reader) => reader.len(),
+impl SharedState {
+    /// Resolve a job's dataset to a registered store. A store ref is
+    /// opened on the coordinator's filesystem, fully checksum-verified,
+    /// pinned against the submitted identity hash, and registered for
+    /// the server's lifetime. Inline points are packed into an
+    /// in-memory store and registered until the returned lease drops;
+    /// a job over content already in the table computes over the
+    /// registered store.
+    fn open_dataset(
+        &self,
+        data: JobData,
+    ) -> Result<(Arc<StoreReader>, Option<InlineLease<'_>>), String> {
+        match data {
+            JobData::Inline { points } => {
+                let packed = StoreReader::from_rows(&points, DEFAULT_SHARD_ROWS)
+                    .map_err(|e| format!("pack inline points: {e}"))?;
+                // The store holds the rows from here on.
+                drop(points);
+                let content_hash = packed.manifest().content_hash;
+                let mut state = self.inner.lock().expect("state");
+                let entry = state
+                    .datasets
+                    .entry(content_hash)
+                    .or_insert_with(|| RegisteredStore {
+                        reader: Arc::new(packed),
+                        inline_jobs: 0,
+                        pinned: false,
+                    });
+                entry.inline_jobs += 1;
+                let lease = InlineLease {
+                    shared: self,
+                    content_hash,
+                };
+                Ok((Arc::clone(&entry.reader), Some(lease)))
+            }
+            JobData::Ref { path, content_hash } => {
+                let reader = StoreReader::open(Path::new(&path))
+                    .map_err(|e| format!("open dataset store {path}: {e}"))?;
+                let actual = reader.manifest().content_hash;
+                if actual != content_hash {
+                    return Err(format!(
+                        "dataset store {path} has content hash {actual:#018x}, \
+                         job submitted {content_hash:#018x}"
+                    ));
+                }
+                reader
+                    .verify_all()
+                    .map_err(|e| format!("verify dataset store {path}: {e}"))?;
+                let reader = Arc::new(reader);
+                // The on-disk store replaces an in-memory one of the same
+                // content, so a pinned entry never holds a packed copy.
+                let mut state = self.inner.lock().expect("state");
+                let inline_jobs = state
+                    .datasets
+                    .get(&content_hash)
+                    .map_or(0, |d| d.inline_jobs);
+                let entry = RegisteredStore {
+                    reader: Arc::clone(&reader),
+                    inline_jobs,
+                    pinned: true,
+                };
+                state.datasets.insert(content_hash, entry);
+                Ok((reader, None))
+            }
         }
     }
 }
@@ -1007,7 +1080,7 @@ impl DataSource<'_> {
 /// The job runner: the exact `Dasc::train_distributed` flow with map
 /// and reduce bodies farmed out to workers.
 fn run_job(shared: &SharedState, job_id: u64, spec: JobSpec) {
-    let result = execute_job(shared, job_id, &spec);
+    let result = execute_job(shared, job_id, spec);
     match result {
         Ok(outcome) => shared.set_job_state(job_id, JobState::Done(outcome)),
         Err(message) => {
@@ -1017,37 +1090,9 @@ fn run_job(shared: &SharedState, job_id: u64, spec: JobSpec) {
     }
 }
 
-fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobOutcome, String> {
-    // Resolve the dataset. A store ref is opened on the coordinator's
-    // filesystem, fully checksum-verified, pinned against the submitted
-    // identity hash, and registered in the name-node table so workers
-    // can fetch its shards.
-    let source = match &spec.data {
-        JobData::Inline { points } => DataSource::Inline(points),
-        JobData::Ref { path, content_hash } => {
-            let reader = StoreReader::open(Path::new(path))
-                .map_err(|e| format!("open dataset store {path}: {e}"))?;
-            let actual = reader.manifest().content_hash;
-            if actual != *content_hash {
-                return Err(format!(
-                    "dataset store {path} has content hash {actual:#018x}, \
-                     job submitted {content_hash:#018x}"
-                ));
-            }
-            reader
-                .verify_all()
-                .map_err(|e| format!("verify dataset store {path}: {e}"))?;
-            let reader = Arc::new(reader);
-            shared
-                .inner
-                .lock()
-                .expect("state")
-                .datasets
-                .insert(*content_hash, Arc::clone(&reader));
-            DataSource::Store(reader)
-        }
-    };
-    let n = source.len();
+fn execute_job(shared: &SharedState, job_id: u64, spec: JobSpec) -> Result<JobOutcome, String> {
+    let (reader, _lease) = shared.open_dataset(spec.data)?;
+    let n = reader.len();
     if n == 0 {
         return Err("empty dataset".to_string());
     }
@@ -1073,12 +1118,9 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     let stage1_span = span!("dist.stage1");
     let stage1_id = shared.trace_begin(job_id, "dist.stage1", job_span_id);
     let stage1_start = Instant::now();
-    // Both arms delegate to the same `fit_view` core, so the fitted
-    // planes are bit-identical between inline and store submissions.
-    let model = match &source {
-        DataSource::Inline(points) => SignatureModel::fit(points, &lsh),
-        DataSource::Store(reader) => SignatureModel::fit_view(reader.as_ref(), &lsh),
-    };
+    // `fit` over in-memory rows delegates to the same `fit_view` core,
+    // so the planes are bit-identical to the in-process run's.
+    let model = SignatureModel::fit_view(reader.as_ref(), &lsh);
     let ranges = split_ranges(n, &shared.cluster);
     let first_id = shared.alloc_task_ids(ranges.len());
     let map_tasks: Vec<Task> = ranges
@@ -1089,20 +1131,12 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
             task_id: first_id + i as u64,
             attempt: 1,
             trace_parent: stage1_id,
-            kind: match &source {
-                DataSource::Inline(points) => TaskKind::MapSignatures {
-                    num_bits: model.num_bits(),
-                    planes: model.planes().to_vec(),
-                    start,
-                    points: points[start..start + len].to_vec(),
-                },
-                DataSource::Store(reader) => TaskKind::MapSignaturesRef {
-                    num_bits: model.num_bits(),
-                    planes: model.planes().to_vec(),
-                    manifest: reader.manifest().clone(),
-                    start,
-                    len,
-                },
+            kind: TaskKind::MapSignaturesRef {
+                num_bits: model.num_bits(),
+                planes: model.planes().to_vec(),
+                manifest: reader.manifest().clone(),
+                start,
+                len,
             },
         })
         .collect();
@@ -1146,25 +1180,14 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
             task_id: first_id + bi as u64,
             attempt: 1,
             trace_parent: stage2_id,
-            kind: match &source {
-                DataSource::Inline(points) => TaskKind::ReduceBucket {
-                    bucket_id: bi,
-                    ki: bucket_cluster_count(spec.k, b.members.len(), n),
-                    kernel: spec.kernel,
-                    seed: spec.seed,
-                    lanczos_threshold: 512,
-                    members: b.members.clone(),
-                    points: b.members.iter().map(|&i| points[i].clone()).collect(),
-                },
-                DataSource::Store(reader) => TaskKind::ReduceBucketRef {
-                    bucket_id: bi,
-                    ki: bucket_cluster_count(spec.k, b.members.len(), n),
-                    kernel: spec.kernel,
-                    seed: spec.seed,
-                    lanczos_threshold: 512,
-                    manifest: reader.manifest().clone(),
-                    members: b.members.clone(),
-                },
+            kind: TaskKind::ReduceBucketRef {
+                bucket_id: bi,
+                ki: bucket_cluster_count(spec.k, b.members.len(), n),
+                kernel: spec.kernel,
+                seed: spec.seed,
+                lanczos_threshold: LANCZOS_THRESHOLD,
+                manifest: reader.manifest().clone(),
+                members: b.members.clone(),
             },
         })
         .collect();
@@ -1205,10 +1228,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     }
     let stitched = stitch_distributed(n, spec.k, &buckets.sizes(), &records);
     let clustering: Clustering = if spec.consolidate {
-        match &source {
-            DataSource::Inline(points) => consolidate(*points, &stitched, spec.k, spec.seed),
-            DataSource::Store(reader) => consolidate(reader.as_ref(), &stitched, spec.k, spec.seed),
-        }
+        consolidate(reader.as_ref(), &stitched, spec.k, spec.seed)
     } else {
         stitched
     };
@@ -1250,6 +1270,199 @@ mod tests {
     use dasc_core::{Dasc, DascConfig};
     use dasc_data::SyntheticConfig;
     use dasc_net::Client;
+
+    /// `(inline jobs holding it, pinned)` for a dataset in the
+    /// name-node table, `None` when it is not registered.
+    fn registration(coordinator: &Coordinator, content_hash: u64) -> Option<(usize, bool)> {
+        let state = coordinator
+            .server
+            .service()
+            .state
+            .inner
+            .lock()
+            .expect("state");
+        state
+            .datasets
+            .get(&content_hash)
+            .map(|d| (d.inline_jobs, d.pinned))
+    }
+
+    fn inline_spec(points: &[Vec<f64>], config: &DascConfig) -> JobSpec {
+        JobSpec {
+            data: JobData::Inline {
+                points: points.to_vec(),
+            },
+            k: config.k,
+            kernel: config.kernel,
+            num_bits: 0,
+            seed: config.seed,
+            consolidate: config.consolidate,
+            collect_trace: false,
+        }
+    }
+
+    /// Content hash of the in-memory store an inline job over `points`
+    /// registers.
+    fn inline_hash(points: &[Vec<f64>]) -> u64 {
+        StoreReader::from_rows(points, DEFAULT_SHARD_ROWS)
+            .expect("pack")
+            .manifest()
+            .content_hash
+    }
+
+    #[test]
+    fn inline_store_is_unregistered_when_its_job_ends() {
+        let points = SyntheticConfig::blobs(300, 8, 3).seed(5).generate().points;
+        let config = DascConfig::for_dataset(points.len(), 3);
+        let want = Dasc::new(config.clone())
+            .run_distributed(&points, &ClusterConfig::emr_default())
+            .clustering;
+
+        let cluster = ClusterConfig::emr(2);
+        let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("start");
+        let addr = coordinator.addr().to_string();
+        let w = worker::spawn(&addr, WorkerOptions::named("w"));
+        let mut client = JobClient::connect(&addr, &cluster);
+        let outcome = client
+            .run(inline_spec(&points, &config), |_, _, _| {})
+            .expect("inline job");
+        assert_eq!(outcome.assignments, want.assignments);
+        assert_eq!(registration(&coordinator, inline_hash(&points)), None);
+        assert!(coordinator
+            .server
+            .service()
+            .state
+            .inner
+            .lock()
+            .expect("state")
+            .datasets
+            .is_empty());
+
+        w.shutdown().expect("worker");
+        coordinator.shutdown();
+    }
+
+    #[test]
+    fn concurrent_identical_inline_jobs_share_one_registration() {
+        // Job A is held open by a raw worker sitting on one of its map
+        // tasks; job B, over the same points, runs to completion
+        // meanwhile. B ending must leave the store A computes over
+        // registered and servable.
+        let points = SyntheticConfig::blobs(300, 8, 3).seed(6).generate().points;
+        let config = DascConfig::for_dataset(points.len(), 3);
+        let want = Dasc::new(config.clone())
+            .run_distributed(&points, &ClusterConfig::emr_default())
+            .clustering;
+        let hash = inline_hash(&points);
+
+        let mut cluster = ClusterConfig::emr(2);
+        cluster.records_per_split = 64;
+        cluster.heartbeat_interval = Duration::from_millis(50);
+        cluster.worker_liveness_timeout = Duration::from_secs(60);
+        let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("start");
+        let addr = coordinator.addr().to_string();
+
+        let mut holder = Client::new(addr.clone(), client_config(&cluster));
+        let Ok(Msg::RegisterAck { worker_id, .. }) = rpc(
+            &mut holder,
+            &Msg::Register {
+                name: "holder".into(),
+            },
+        ) else {
+            panic!("holder failed to register");
+        };
+        let submit = |spec: JobSpec| {
+            let (addr, cluster) = (addr.clone(), cluster.clone());
+            std::thread::spawn(move || JobClient::connect(addr, &cluster).run(spec, |_, _, _| {}))
+        };
+        let job_a = submit(inline_spec(&points, &config));
+        let held = loop {
+            match rpc(&mut holder, &Msg::RequestTask { worker_id }) {
+                Ok(Msg::AssignTask { task }) => break task,
+                Ok(Msg::NoTask { .. }) => {}
+                other => panic!("holder got no task: {other:?}"),
+            }
+        };
+        assert_eq!(registration(&coordinator, hash), Some((1, false)));
+
+        let job_b = submit(inline_spec(&points, &config));
+        let w = worker::spawn(&addr, WorkerOptions::named("w"));
+        let outcome_b = job_b.join().expect("job B thread").expect("job B");
+        assert_eq!(outcome_b.assignments, want.assignments);
+        assert_eq!(registration(&coordinator, hash), Some((1, false)));
+        let served = rpc(
+            &mut holder,
+            &Msg::ShardRequest {
+                dataset: hash,
+                shard: 0,
+            },
+        );
+        assert!(
+            matches!(served, Ok(Msg::ShardReply { .. })),
+            "store of the running job not served: {served:?}"
+        );
+
+        // Release the held task: it is retried on the real worker and
+        // job A finishes with the same labels.
+        let released = rpc(
+            &mut holder,
+            &Msg::TaskFailed {
+                worker_id,
+                task_id: held.task_id,
+                error: "released by test".into(),
+            },
+        );
+        assert_eq!(released, Ok(Msg::TaskAck));
+        let outcome_a = job_a.join().expect("job A thread").expect("job A");
+        assert_eq!(outcome_a.assignments, want.assignments);
+        assert_eq!(outcome_a.num_clusters, outcome_b.num_clusters);
+        assert_eq!(registration(&coordinator, hash), None);
+
+        drop(holder);
+        w.shutdown().expect("worker");
+        coordinator.shutdown();
+    }
+
+    #[test]
+    fn ref_store_with_the_same_content_stays_registered() {
+        let points = SyntheticConfig::blobs(300, 8, 3).seed(7).generate().points;
+        let config = DascConfig::for_dataset(points.len(), 3);
+        let dir = std::env::temp_dir().join(format!(
+            "dasc-coordinator-pinned-{}.dstr",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let manifest = dasc_data::dataset_to_store(
+            &dasc_data::Dataset::new(points.clone(), None, "pinned"),
+            &dir,
+            DEFAULT_SHARD_ROWS,
+        )
+        .expect("pack store");
+        let hash = manifest.content_hash;
+        assert_eq!(hash, inline_hash(&points));
+
+        let cluster = ClusterConfig::emr(2);
+        let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("start");
+        let addr = coordinator.addr().to_string();
+        let w = worker::spawn(&addr, WorkerOptions::named("w"));
+        let mut client = JobClient::connect(&addr, &cluster);
+        let mut ref_spec = inline_spec(&points, &config);
+        ref_spec.data = JobData::Ref {
+            path: dir.to_string_lossy().into_owned(),
+            content_hash: hash,
+        };
+        let by_ref = client.run(ref_spec, |_, _, _| {}).expect("ref job");
+        assert_eq!(registration(&coordinator, hash), Some((0, true)));
+        let inline = client
+            .run(inline_spec(&points, &config), |_, _, _| {})
+            .expect("inline job");
+        assert_eq!(inline.assignments, by_ref.assignments);
+        assert_eq!(registration(&coordinator, hash), Some((0, true)));
+
+        w.shutdown().expect("worker");
+        coordinator.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn worker_ids(coordinator: &Coordinator) -> Vec<u64> {
         let state = coordinator

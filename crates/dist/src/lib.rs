@@ -18,13 +18,14 @@
 //! mid-job and their tasks are retried elsewhere (Hadoop-style
 //! `max_task_attempts` budget from `ClusterConfig`).
 //!
-//! Datasets travel either inline in the submission
-//! ([`JobData::Inline`]) or as a reference to a packed `.dstr` store on
-//! the coordinator's filesystem ([`JobData::Ref`]): tasks then carry
-//! shard tables and row ranges instead of points, and workers pull
-//! shard bytes through a checksum-verified LRU cache
-//! ([`worker::ShardSource`]). Both paths run the same shared numerical
-//! bodies, so their outputs are bit-identical too.
+//! A job names its dataset inline in the submission ([`JobData::Inline`])
+//! or as a reference to a packed `.dstr` store on the coordinator's
+//! filesystem ([`JobData::Ref`]). Either way the coordinator computes
+//! over a dataset store — inline points are packed into an in-memory
+//! one for the life of the job — so every job runs the same two task
+//! bodies: tasks carry shard tables and row ranges instead of points,
+//! and workers pull shard bytes through a checksum-verified LRU cache
+//! ([`worker::ShardSource`]).
 
 pub mod client;
 pub mod coordinator;
@@ -33,10 +34,7 @@ pub mod proto;
 pub mod worker;
 
 pub use client::{client_config, rpc, JobClient};
-pub use coordinator::{task_input_volume, Coordinator};
+pub use coordinator::Coordinator;
 pub use httpd::HttpHandle;
 pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput};
-pub use worker::{
-    execute_task, execute_task_traced, execute_task_traced_with, execute_task_with, run_worker,
-    ShardSource, WorkerHandle, WorkerOptions,
-};
+pub use worker::{run_worker, ShardSource, WorkerHandle, WorkerOptions};

@@ -4,14 +4,14 @@
 //! [`MsgType`] discriminant and the payload is the [`Wire`]-encoded
 //! body. The scheme is deliberately Hadoop-shaped: workers *pull* tasks
 //! ([`RequestTask`](Msg::RequestTask)) the way task trackers ask the
-//! job tracker for work on each heartbeat. Task inputs travel one of
-//! two ways: inline (points embedded in the task body — the original
-//! scheme, still the fallback), or **shard-addressed** — a job
-//! submitted against a packed `.dstr` dataset ships only the
-//! [`DatasetManifest`] plus row ranges, and workers resolve the shard
-//! bytes through a local cache, fetching misses from the coordinator
-//! with [`ShardRequest`](Msg::ShardRequest) (the coordinator plays
-//! both job tracker and name node).
+//! job tracker for work on each heartbeat. Tasks are
+//! **shard-addressed**: they carry the dataset's [`DatasetManifest`]
+//! plus row ranges or member ids, never points, and workers resolve the
+//! shard bytes through a local cache, fetching misses from the
+//! coordinator with [`ShardRequest`](Msg::ShardRequest) (the
+//! coordinator plays both job tracker and name node). A job submitted
+//! with inline points runs the same tasks over an in-memory store the
+//! coordinator packs from them.
 //!
 //! | tag | message        | direction            |
 //! |-----|----------------|----------------------|
@@ -236,41 +236,11 @@ pub struct Task {
     pub kind: TaskKind,
 }
 
-/// Task bodies. Inputs ride inline — the coordinator is the data node.
+/// Task bodies: the two DASC stages over a dataset the worker reads
+/// shard by shard. Wire tags 0 and 1 belonged to task kinds that
+/// carried points inline; they are retired and decode to an error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TaskKind {
-    /// Stage 1 (Algorithm 1): hash a contiguous slice of points with
-    /// the frozen signature model; emit `(bits, point_index)` grouped
-    /// by signature.
-    MapSignatures {
-        /// Signature width M.
-        num_bits: usize,
-        /// The fitted model's hash planes, in bit order.
-        planes: Vec<HashPlane>,
-        /// Global index of `points[0]`.
-        start: usize,
-        /// The slice to hash.
-        points: Vec<Vec<f64>>,
-    },
-    /// Stage 2 (Algorithm 2 + spectral step): cluster one merged
-    /// bucket's points into `ki` local clusters.
-    ReduceBucket {
-        /// Bucket index in the merged bucket set (drives the spectral
-        /// seed derivation).
-        bucket_id: usize,
-        /// Clusters apportioned to this bucket.
-        ki: usize,
-        /// Kernel for the sub-similarity block.
-        kernel: Kernel,
-        /// Run seed (bucket seed derives from it).
-        seed: u64,
-        /// Dense→Lanczos crossover.
-        lanczos_threshold: usize,
-        /// Global point ids, in bucket order.
-        members: Vec<usize>,
-        /// The bucket's points, parallel to `members`.
-        points: Vec<Vec<f64>>,
-    },
     /// Shard-addressed stage 1: hash the global row range
     /// `start..start + len` of the manifest's dataset. Ships no point
     /// data — the worker resolves rows from its shard cache.
@@ -307,6 +277,17 @@ pub enum TaskKind {
     },
 }
 
+impl TaskKind {
+    /// The DASC stage this task belongs to: `"map"` or `"reduce"` (the
+    /// `stage` label of the task-duration series).
+    pub fn stage(&self) -> &'static str {
+        match self {
+            TaskKind::MapSignaturesRef { .. } => "map",
+            TaskKind::ReduceBucketRef { .. } => "reduce",
+        }
+    }
+}
+
 /// What a completed task ships back.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TaskOutput {
@@ -319,8 +300,9 @@ pub enum TaskOutput {
 /// How a job names its dataset.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobData {
-    /// Points travel inside the submission frame (the original scheme;
-    /// simple, but every task re-ships its slice of them).
+    /// Points travel inside the submission frame. The coordinator packs
+    /// them into an in-memory store for the life of the job, so tasks
+    /// and workers treat them exactly like a `Ref` dataset.
     Inline { points: Vec<Vec<f64>> },
     /// The dataset is a packed `.dstr` store on the coordinator's
     /// filesystem. Only the path and the expected identity hash travel;
@@ -369,7 +351,9 @@ pub struct JobOutcome {
     pub stage2_us: u64,
     /// Shuffle records shipped worker → coordinator.
     pub shuffle_records: u64,
-    /// Payload bytes shipped worker → coordinator in task outputs.
+    /// Approximate payload bytes of task bodies (coordinator → worker)
+    /// plus task outputs (worker → coordinator). Shard fetches are not
+    /// counted: they are the store's reads, not the job's shuffle.
     pub shuffle_bytes: u64,
     /// Task retries the job survived.
     pub task_retries: u64,
@@ -595,40 +579,6 @@ impl Wire for Task {
         w.put_u32(self.attempt);
         w.put_u64(self.trace_parent);
         match &self.kind {
-            TaskKind::MapSignatures {
-                num_bits,
-                planes,
-                start,
-                points,
-            } => {
-                w.put_u8(0);
-                w.put_usize(*num_bits);
-                planes
-                    .iter()
-                    .map(|&p| WirePlane(p))
-                    .collect::<Vec<_>>()
-                    .encode(w);
-                w.put_usize(*start);
-                points.encode(w);
-            }
-            TaskKind::ReduceBucket {
-                bucket_id,
-                ki,
-                kernel,
-                seed,
-                lanczos_threshold,
-                members,
-                points,
-            } => {
-                w.put_u8(1);
-                w.put_usize(*bucket_id);
-                w.put_usize(*ki);
-                encode_kernel(kernel, w);
-                w.put_u64(*seed);
-                w.put_usize(*lanczos_threshold);
-                members.encode(w);
-                points.encode(w);
-            }
             TaskKind::MapSignaturesRef {
                 num_bits,
                 planes,
@@ -674,24 +624,6 @@ impl Wire for Task {
         let attempt = r.u32()?;
         let trace_parent = r.u64()?;
         let kind = match r.u8()? {
-            0 => TaskKind::MapSignatures {
-                num_bits: r.usize()?,
-                planes: Vec::<WirePlane>::decode(r)?
-                    .into_iter()
-                    .map(|p| p.0)
-                    .collect(),
-                start: r.usize()?,
-                points: Vec::decode(r)?,
-            },
-            1 => TaskKind::ReduceBucket {
-                bucket_id: r.usize()?,
-                ki: r.usize()?,
-                kernel: decode_kernel(r)?,
-                seed: r.u64()?,
-                lanczos_threshold: r.usize()?,
-                members: Vec::decode(r)?,
-                points: Vec::decode(r)?,
-            },
             2 => TaskKind::MapSignaturesRef {
                 num_bits: r.usize()?,
                 planes: Vec::<WirePlane>::decode(r)?
@@ -711,6 +643,7 @@ impl Wire for Task {
                 manifest: WireManifest::decode(r)?.0,
                 members: Vec::decode(r)?,
             },
+            0 | 1 => return Err(WireError::Invalid("retired inline task kind")),
             _ => return Err(WireError::Invalid("task kind tag")),
         };
         Ok(Task {
@@ -998,42 +931,6 @@ mod tests {
 
     #[test]
     fn every_message_variant_roundtrips() {
-        let map_task = Task {
-            job_id: 1,
-            task_id: 42,
-            attempt: 1,
-            trace_parent: 3,
-            kind: TaskKind::MapSignatures {
-                num_bits: 4,
-                planes: vec![
-                    HashPlane {
-                        dimension: 3,
-                        threshold: 0.5,
-                    },
-                    HashPlane {
-                        dimension: 0,
-                        threshold: -1.25,
-                    },
-                ],
-                start: 128,
-                points: vec![vec![0.1, 0.2], vec![0.3, 0.4]],
-            },
-        };
-        let reduce_task = Task {
-            job_id: 1,
-            task_id: 43,
-            attempt: 2,
-            trace_parent: 0,
-            kind: TaskKind::ReduceBucket {
-                bucket_id: 7,
-                ki: 2,
-                kernel: Kernel::Gaussian { sigma: 0.2 },
-                seed: 0xDA5C,
-                lanczos_threshold: 512,
-                members: vec![5, 9, 11],
-                points: vec![vec![0.0; 2]; 3],
-            },
-        };
         let manifest = DatasetManifest {
             content_hash: 0xFEED_BEEF,
             n: 10,
@@ -1121,8 +1018,6 @@ mod tests {
             },
             Msg::HeartbeatAck,
             Msg::RequestTask { worker_id: 9 },
-            Msg::AssignTask { task: map_task },
-            Msg::AssignTask { task: reduce_task },
             Msg::AssignTask { task: map_ref_task },
             Msg::AssignTask {
                 task: reduce_ref_task,
@@ -1272,6 +1167,24 @@ mod tests {
             Msg::decode_frame(MsgType::PollJob as u16, &payload),
             Err(WireError::Trailing(1))
         );
+    }
+
+    #[test]
+    fn retired_task_kind_tags_are_typed_errors() {
+        for tag in [0u8, 1] {
+            let mut w = WireWriter::new();
+            w.put_u64(1); // job_id
+            w.put_u64(42); // task_id
+            w.put_u32(1); // attempt
+            w.put_u64(0); // trace_parent
+            w.put_u8(tag);
+            w.put_usize(4); // what followed the tag in the retired bodies
+            assert_eq!(
+                Msg::decode_frame(MsgType::AssignTask as u16, &w.into_vec()),
+                Err(WireError::Invalid("retired inline task kind")),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

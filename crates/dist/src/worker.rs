@@ -2,28 +2,25 @@
 //!
 //! On start the worker registers, spawns a heartbeat thread on its own
 //! connection, then loops: `RequestTask` → execute → `TaskDone` (or
-//! `TaskFailed` if the task body panicked — the same failure unit as
-//! the in-process engine's catch-unwind retry). `RequestTask` is a
-//! long-poll, so an idle worker simply asks again when the coordinator
-//! replies `NoTask { backoff_ms: 0 }`; if the coordinator has forgotten
-//! the worker (declared it lost), the worker registers again and
-//! carries on under its new id. Task bodies run the
-//! *existing* `dasc-mapreduce` mapper/reducer machinery locally, so a
-//! worker process is literally one Hadoop task tracker's worth of the
-//! in-process engine, and its numerics are shared code with the
-//! single-process path:
+//! `TaskFailed` if the task body panicked or could not read its rows).
+//! `RequestTask` is a long-poll, so an idle worker simply asks again
+//! when the coordinator replies `NoTask { backoff_ms: 0 }`; if the
+//! coordinator has forgotten the worker (declared it lost), the worker
+//! registers again and carries on under its new id.
 //!
-//! * `MapSignatures` → [`run_map_only`] with the Algorithm 1 mapper;
-//! * `ReduceBucket` → [`reduce_groups`] with a reducer that calls
-//!   `dasc_core::cluster_bucket_flat` (the shared per-bucket body).
+//! There is one task body per DASC stage, whatever way the job's
+//! dataset was submitted:
 //!
-//! Shard-addressed tasks (`MapSignaturesRef` / `ReduceBucketRef`)
-//! carry no points; the worker resolves the referenced global rows
+//! * `MapSignaturesRef` (Algorithm 1) hashes a global row range with
+//!   the frozen signature model and groups the row ids by signature;
+//! * `ReduceBucketRef` (Algorithm 2 + spectral step) gathers one merged
+//!   bucket's rows and clusters them with `dasc_core::cluster_bucket_flat`,
+//!   the per-bucket body every executor shares.
+//!
+//! Tasks carry no points. The worker resolves the referenced rows
 //! through its [`ShardSource`] — a byte-bounded LRU shard cache that
 //! fetches misses from the coordinator with `ShardRequest` RPCs and
-//! verifies every fetched shard against the manifest checksum. The
-//! numerical bodies are the same shared `dasc-core` functions, so a
-//! ref task's output is bit-identical to its inline twin's.
+//! verifies every fetched shard against the manifest checksum.
 //!
 //! For fault-injection tests, [`WorkerOptions::die_after_assignments`]
 //! makes the worker drop all its connections and stop the moment it
@@ -31,7 +28,6 @@
 //! worker holding an in-flight task, exactly like a crashed machine.
 
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -40,7 +36,7 @@ use std::time::Duration;
 use dasc_core::cluster_bucket_flat;
 use dasc_linalg::FlatPoints;
 use dasc_lsh::SignatureModel;
-use dasc_mapreduce::{reduce_groups, run_map_only, ClusterConfig, FnMapper, FnReducer};
+use dasc_mapreduce::ClusterConfig;
 use dasc_net::{Client, ClientConfig};
 use dasc_obs::{labeled, MetricsSnapshot, SpanRecord, Tracer};
 use dasc_store::{DatasetManifest, Shard, ShardCache, StoreError};
@@ -53,8 +49,8 @@ use crate::proto::{Msg, Task, TaskKind, TaskOutput};
 pub struct WorkerOptions {
     /// Human-readable name reported at registration.
     pub name: String,
-    /// Cluster knobs: RPC timeouts/backoff and the local engine's slot
-    /// configuration for executing task bodies.
+    /// Cluster knobs: the RPC timeouts and backoff of every connection
+    /// the worker opens.
     pub cluster: ClusterConfig,
     /// Fault injection: accept this many task assignments, then drop
     /// every connection and stop without completing the last one.
@@ -66,7 +62,7 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Defaults: single-node local engine, telemetry on, no fault
+    /// Defaults: single-node RPC knobs, telemetry on, no fault
     /// injection.
     pub fn named(name: impl Into<String>) -> Self {
         Self {
@@ -80,9 +76,8 @@ impl WorkerOptions {
 
 /// Worker-side shard resolver: an LRU [`ShardCache`] backed by
 /// `ShardRequest` RPCs to the coordinator. The fetch connection is
-/// created lazily on the first cache miss (a worker that only ever runs
-/// inline tasks never opens it) and dropped on any RPC failure so the
-/// next miss reconnects cleanly.
+/// created lazily on the first cache miss and dropped on any RPC
+/// failure so the next miss reconnects cleanly.
 pub struct ShardSource {
     cache: ShardCache,
     addr: String,
@@ -326,20 +321,19 @@ fn pull_loop(
                     return Ok(());
                 }
                 let task_id = task.task_id;
-                let report =
-                    match execute_task_traced_with(task, &options.cluster, Some(shard_source)) {
-                        (Ok(output), spans) => Msg::TaskDone {
-                            worker_id: id,
-                            task_id,
-                            output,
-                            spans,
-                        },
-                        (Err(error), _) => Msg::TaskFailed {
-                            worker_id: id,
-                            task_id,
-                            error,
-                        },
-                    };
+                let report = match run_task(task, shard_source) {
+                    (Ok(output), spans) => Msg::TaskDone {
+                        worker_id: id,
+                        task_id,
+                        output,
+                        spans,
+                    },
+                    (Err(error), _) => Msg::TaskFailed {
+                        worker_id: id,
+                        task_id,
+                        error,
+                    },
+                };
                 rpc(client, &report)?;
             }
             // The long-poll already waited on the coordinator side.
@@ -356,119 +350,26 @@ fn pull_loop(
     }
 }
 
-/// Execute one task body through the in-process MapReduce machinery.
-/// A panic inside the body (the engine's failure unit) becomes an
-/// error string for `TaskFailed`. Convenience wrapper over
-/// [`execute_task_traced_with`] for callers that don't want the span
-/// log; shard-addressed tasks fail without a [`ShardSource`].
-pub fn execute_task(task: Task, cluster: &ClusterConfig) -> Result<TaskOutput, String> {
-    execute_task_traced_with(task, cluster, None).0
-}
-
-/// [`execute_task`] with an explicit shard resolver for the
-/// shard-addressed task kinds.
-pub fn execute_task_with(
-    task: Task,
-    cluster: &ClusterConfig,
-    shard_source: Option<&ShardSource>,
-) -> Result<TaskOutput, String> {
-    execute_task_traced_with(task, cluster, shard_source).0
-}
-
-/// [`execute_task_traced_with`] without a shard resolver — kept for
-/// callers that only ever execute inline tasks.
-pub fn execute_task_traced(
-    task: Task,
-    cluster: &ClusterConfig,
-) -> (Result<TaskOutput, String>, Vec<SpanRecord>) {
-    execute_task_traced_with(task, cluster, None)
-}
-
 /// Execute one task body and return its output together with the span
-/// log recorded under the task's trace context. When the task carries
-/// no context ([`Task::trace_parent`] is 0) the log is empty and the
-/// body runs untraced.
+/// log recorded under the task's trace context. A panic inside the
+/// body becomes an error string for `TaskFailed`. When the task
+/// carries no context ([`Task::trace_parent`] is 0) the log is empty
+/// and the body runs untraced.
 ///
 /// Spans go to a *task-local* tracer, not the process-global one, so
 /// concurrent workers sharing a process (tests, benches) never mix
 /// their logs; timestamps are relative to the task body's start and are
 /// rebased onto the job timeline by the coordinator.
-pub fn execute_task_traced_with(
-    task: Task,
-    cluster: &ClusterConfig,
-    shard_source: Option<&ShardSource>,
-) -> (Result<TaskOutput, String>, Vec<SpanRecord>) {
+fn run_task(task: Task, source: &ShardSource) -> (Result<TaskOutput, String>, Vec<SpanRecord>) {
     let tracer = Tracer::new();
     if task.trace_parent != 0 {
         tracer.enable();
     }
-    let stage = match task.kind {
-        TaskKind::MapSignatures { .. } | TaskKind::MapSignaturesRef { .. } => "map",
-        TaskKind::ReduceBucket { .. } | TaskKind::ReduceBucketRef { .. } => "reduce",
-    };
+    let stage = task.kind.stage();
     let began = std::time::Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<TaskOutput, String> {
             match task.kind {
-                TaskKind::MapSignatures {
-                    num_bits: _,
-                    planes,
-                    start,
-                    points,
-                } => {
-                    let _span = tracer.span("dist.task.map");
-                    let model = SignatureModel::from_planes(planes);
-                    let mapper = FnMapper::new(
-                        |index: usize, point: Vec<f64>, emit: &mut dyn FnMut(u64, usize)| {
-                            emit(model.hash(&point).bits(), index);
-                        },
-                    );
-                    let inputs: Vec<(usize, Vec<f64>)> = points
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, p)| (start + i, p))
-                        .collect();
-                    let hash_span = tracer.span("dist.task.map.hash");
-                    let grouped = run_map_only(&mapper, inputs, cluster);
-                    hash_span.finish();
-                    Ok(TaskOutput::MapSignatures(grouped.records))
-                }
-                TaskKind::ReduceBucket {
-                    bucket_id,
-                    ki,
-                    kernel,
-                    seed,
-                    lanczos_threshold,
-                    members,
-                    points,
-                } => {
-                    let _span = tracer.span("dist.task.reduce");
-                    let reducer = FnReducer::new(
-                        move |bucket_id: usize,
-                              member_points: Vec<(usize, Vec<f64>)>,
-                              emit: &mut dyn FnMut((usize, usize, usize))| {
-                            let (ids, rows): (Vec<usize>, Vec<Vec<f64>>) =
-                                member_points.into_iter().unzip();
-                            let Ok((c, _)) = cluster_bucket_flat(
-                                ids.len(),
-                                ki,
-                                kernel,
-                                lanczos_threshold,
-                                seed,
-                                bucket_id,
-                                || Ok::<_, Infallible>(FlatPoints::from_rows(&rows)),
-                            );
-                            for (local, &point) in ids.iter().enumerate() {
-                                emit((point, bucket_id, c.assignments[local]));
-                            }
-                        },
-                    );
-                    let values: Vec<(usize, Vec<f64>)> = members.into_iter().zip(points).collect();
-                    let cluster_span = tracer.span("dist.task.reduce.cluster");
-                    let reduced = reduce_groups(&reducer, vec![(bucket_id, values)], cluster);
-                    cluster_span.finish();
-                    Ok(TaskOutput::ReduceBucket(reduced.records))
-                }
                 TaskKind::MapSignaturesRef {
                     num_bits: _,
                     planes,
@@ -477,14 +378,11 @@ pub fn execute_task_traced_with(
                     len,
                 } => {
                     let _span = tracer.span("dist.task.map");
-                    let source = shard_source
-                        .ok_or("shard-addressed task but this worker has no shard source")?;
                     let model = SignatureModel::from_planes(planes);
                     let hash_span = tracer.span("dist.task.map.hash");
-                    // Walk the global range shard by shard. Grouping by
-                    // signature bits matches the inline path's shuffle
-                    // grouping; the coordinator merge is per-point and
-                    // order-insensitive either way.
+                    // Walk the global range shard by shard. The
+                    // coordinator merge is per-point, so the grouping
+                    // order does not matter.
                     let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
                     let mut i = start;
                     let end = start + len;
@@ -511,11 +409,9 @@ pub fn execute_task_traced_with(
                     members,
                 } => {
                     let _span = tracer.span("dist.task.reduce");
-                    let source = shard_source
-                        .ok_or("shard-addressed task but this worker has no shard source")?;
                     let cluster_span = tracer.span("dist.task.reduce.cluster");
                     // Gather the bucket's rows straight out of the shards
-                    // into one flat buffer — the layout the inline path
+                    // into one flat buffer — the layout `Dasc::run`
                     // gathers from memory, so the numerics agree.
                     let (c, _) = cluster_bucket_flat(
                         members.len(),

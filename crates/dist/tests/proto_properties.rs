@@ -88,33 +88,6 @@ fn all_messages(
             threshold,
         })
         .collect();
-    let map_task = Task {
-        job_id: a,
-        task_id: b,
-        attempt: (c % 8) as u32 + 1,
-        trace_parent: c,
-        kind: TaskKind::MapSignatures {
-            num_bits: planes.len(),
-            planes,
-            start: c as usize % 1024,
-            points: points.clone(),
-        },
-    };
-    let reduce_task = Task {
-        job_id: a,
-        task_id: b.wrapping_add(1),
-        attempt: 1,
-        trace_parent: a % 2,
-        kind: TaskKind::ReduceBucket {
-            bucket_id: a as usize % 64,
-            ki: b as usize % 16 + 1,
-            kernel,
-            seed: c,
-            lanczos_threshold: 512,
-            members: members.clone(),
-            points: points.clone(),
-        },
-    };
     // A manifest shaped from the same scalar pool: shard row counts and
     // checksums vary per case, shard_rows stays nonzero.
     let manifest = DatasetManifest {
@@ -139,11 +112,8 @@ fn all_messages(
         attempt: 1,
         trace_parent: c % 2,
         kind: TaskKind::MapSignaturesRef {
-            num_bits: 4,
-            planes: vec![HashPlane {
-                dimension: a as usize % 8,
-                threshold: 0.5,
-            }],
+            num_bits: planes.len(),
+            planes,
             manifest: manifest.clone(),
             start: a as usize % 1024,
             len: b as usize % 1024,
@@ -180,8 +150,6 @@ fn all_messages(
         },
         Msg::HeartbeatAck,
         Msg::RequestTask { worker_id: a },
-        Msg::AssignTask { task: map_task },
-        Msg::AssignTask { task: reduce_task },
         Msg::AssignTask { task: map_ref_task },
         Msg::AssignTask {
             task: reduce_ref_task,

@@ -10,12 +10,10 @@
 //! * [`full_gram`] — the exact `N×N` matrix (the O(N²) baseline);
 //! * [`ApproximateGram`] — the block-diagonal approximation induced by
 //!   LSH buckets, storing only `Σ Nᵢ²` entries;
-//! * [`nystrom_eigen`] — the Nyström low-rank alternative used by the
-//!   NYST baseline (Williams & Seeger / Schuetter & Shi);
 //! * Frobenius-norm comparison (Eqs. 22–24) behind Figure 5;
-//! * downstream consumers beyond clustering: kernel ridge regression,
-//!   an LS-SVM classifier, and kernel PCA, each runnable on either the
-//!   exact or the block-diagonal matrix.
+//! * downstream consumers beyond clustering: kernel ridge regression
+//!   and an LS-SVM classifier, each runnable on either the exact or the
+//!   block-diagonal matrix.
 //!
 //! ```
 //! use dasc_kernel::{full_gram, Kernel};
@@ -31,8 +29,6 @@ pub mod approx;
 pub mod classifier;
 pub mod functions;
 pub mod gram;
-pub mod kpca;
-pub mod nystrom;
 pub mod ridge;
 
 pub use approx::{ApproximateGram, GramBlock};
@@ -42,6 +38,4 @@ pub use gram::{
     full_gram, full_gram_flat, full_gram_flat_scalar, full_gram_flat_tiled, gram_memory_bytes,
     TILED_MIN_POINTS,
 };
-pub use kpca::{center_gram, kernel_pca, kernel_pca_blocks, BlockKpca, KpcaEmbedding};
-pub use nystrom::{nystrom_eigen, NystromEigen};
 pub use ridge::RidgeModel;

@@ -14,7 +14,8 @@
 //!   QL with Wilkinson shifts on the tridiagonal form.
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalization for the
 //!   leading eigenpairs of any [`MatVec`] operator (PARPACK substitute).
-//! * [`qr`] — Householder QR used for orthonormalization (Nyström).
+//! * [`qr`] — Householder QR used for orthonormalization (the NYST
+//!   baseline).
 //!
 //! Everything is `f64` and deterministic within a kernel backend: the
 //! hot gemm/dot/axpy primitives dispatch once per process to a SIMD
@@ -43,7 +44,6 @@ pub mod points;
 pub mod qr;
 pub mod simd;
 pub mod sparse;
-pub mod svd;
 pub mod tridiag;
 pub mod vector;
 
@@ -60,5 +60,4 @@ pub use points::{FlatPoints, FlatPointsView, PointsView};
 pub use qr::{qr, QrDecomposition};
 pub use simd::KernelBackend;
 pub use sparse::{CooBuilder, CsrMatrix};
-pub use svd::{energy_captured, numerical_rank, singular_values};
 pub use tridiag::{tridiagonalize, tridiagonalize_factored, FactoredTridiagonal, Tridiagonal};

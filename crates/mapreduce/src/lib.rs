@@ -9,9 +9,7 @@
 //!   way Hadoop task trackers bound concurrent tasks;
 //! * keeps per-task timing so the [`sim`] scheduler can replay the same
 //!   task bag on a *different* cluster size and report the makespan — the
-//!   mechanism behind the Table 3 elasticity experiment;
-//! * provides an in-memory replicated block store ([`dfs`]) standing in
-//!   for HDFS/S3.
+//!   mechanism behind the Table 3 elasticity experiment.
 //!
 //! Determinism: the shuffle uses a seeded FNV-style partitioner and a
 //! stable sort, so a job's output is a pure function of its input and
@@ -19,20 +17,16 @@
 
 pub mod config;
 pub mod counters;
-pub mod dfs;
 pub mod engine;
 pub mod job;
-pub mod jobflow;
 pub mod partition;
 pub mod sim;
 pub mod stats;
 
 pub use config::ClusterConfig;
 pub use counters::Counters;
-pub use dfs::{Dfs, DfsError};
 pub use engine::{reduce_groups, run_job, run_map_combine, run_map_only, split_ranges, JobOutput};
 pub use job::{FnMapper, FnReducer, Mapper, Reducer};
-pub use jobflow::{JobFlow, StepReport};
 pub use partition::hash_partition;
 pub use sim::{
     simulate_makespan, simulate_on_cluster, simulate_with_stragglers, simulate_with_stragglers_on,

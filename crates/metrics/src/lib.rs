@@ -8,8 +8,8 @@
 //! * [`ase`] — average squared error, Eq. 21 (Figure 4b).
 //! * [`fnorm_ratio`] — Frobenius-norm ratio between approximated and
 //!   exact Gram matrices, Eqs. 22–24 (Figure 5).
-//! * [`nmi`] / [`purity`] / [`silhouette`] — standard metrics beyond the
-//!   paper, used by the ablation benches.
+//! * [`nmi`] / [`purity`] — standard metrics beyond the paper, used by
+//!   the ablation benches.
 //!
 //! ```
 //! use dasc_metrics::accuracy;
@@ -25,7 +25,6 @@ pub mod dbi;
 pub mod external;
 pub mod fnorm;
 pub mod hungarian;
-pub mod silhouette;
 
 pub use accuracy::{accuracy, confusion_matrix};
 pub use ase::ase;
@@ -33,4 +32,3 @@ pub use dbi::davies_bouldin;
 pub use external::{adjusted_rand_index, nmi, purity};
 pub use fnorm::fnorm_ratio;
 pub use hungarian::hungarian_min_assignment;
-pub use silhouette::silhouette;

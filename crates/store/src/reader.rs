@@ -9,6 +9,11 @@
 //! borrowed [`FlatPointsView`] straight over the mapping — no
 //! `Vec<Vec<f64>>` round-trip, no copy. Otherwise the payload decodes
 //! once into an owned buffer and the same view type points there.
+//!
+//! [`StoreReader::from_rows`] packs rows into the same shard and
+//! manifest encoding in memory, with every shard resident from the
+//! start: it has the content hash an on-disk pack of those rows would
+//! have, and serves byte-identical shard files.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -17,7 +22,8 @@ use dasc_linalg::{FlatPointsView, PointsView};
 
 use crate::error::StoreError;
 use crate::format::{
-    shard_file_name, validate_shard, DatasetManifest, ShardMeta, MANIFEST_FILE, SHARD_HEADER_LEN,
+    decode_manifest, encode_manifest, encode_shard, shard_file_name, validate_shard,
+    DatasetManifest, ShardMeta, MANIFEST_FILE, SHARD_HEADER_LEN,
 };
 use crate::mmap::{read_file, FileBytes, ReadMode};
 
@@ -129,9 +135,12 @@ impl Shard {
     }
 }
 
-/// Lazily-loading reader over a `.dstr` store directory.
+/// Lazily-loading reader over a `.dstr` store directory, or an
+/// in-memory store built by [`StoreReader::from_rows`].
 pub struct StoreReader {
-    dir: PathBuf,
+    /// Store directory; `None` for an in-memory store, whose shards
+    /// are all loaded at construction.
+    dir: Option<PathBuf>,
     mode: ReadMode,
     manifest: DatasetManifest,
     shards: Vec<OnceLock<Arc<Shard>>>,
@@ -147,14 +156,57 @@ impl StoreReader {
     /// Open with an explicit read mode (tests exercise both paths).
     pub fn open_with(dir: &Path, mode: ReadMode) -> Result<Self, StoreError> {
         let bytes = std::fs::read(dir.join(MANIFEST_FILE))?;
-        let manifest = crate::format::decode_manifest(&bytes)?;
+        let manifest = decode_manifest(&bytes)?;
         let shards = (0..manifest.shards.len())
             .map(|_| OnceLock::new())
             .collect();
         Ok(Self {
-            dir: dir.to_path_buf(),
+            dir: Some(dir.to_path_buf()),
             mode,
             manifest,
+            shards,
+        })
+    }
+
+    /// Pack `rows` (unlabelled) into an in-memory store of
+    /// `shard_rows`-row shards. Shards and manifest are encoded exactly
+    /// as [`crate::StoreWriter`] writes them, so the content hash and
+    /// every served shard file equal those of an on-disk pack of the
+    /// same rows at the same `shard_rows`.
+    pub fn from_rows(rows: &[Vec<f64>], shard_rows: usize) -> Result<Self, StoreError> {
+        if shard_rows == 0 {
+            return Err(StoreError::Shape("shard_rows must be positive"));
+        }
+        let dim = rows.first().map_or(0, Vec::len);
+        let mut metas = Vec::with_capacity(rows.len().div_ceil(shard_rows));
+        let mut shards = Vec::with_capacity(metas.capacity());
+        let mut flat = Vec::with_capacity(shard_rows.min(rows.len()) * dim);
+        for (index, chunk) in rows.chunks(shard_rows).enumerate() {
+            flat.clear();
+            for row in chunk {
+                if row.len() != dim {
+                    return Err(StoreError::Shape("row dimension mismatch"));
+                }
+                flat.extend_from_slice(row);
+            }
+            let index = index as u32;
+            let (bytes, meta) = encode_shard(index, dim as u64, &flat, None);
+            let shard =
+                Shard::from_bytes(FileBytes::Owned(bytes), index, dim as u64, false, &meta)?;
+            metas.push(meta);
+            shards.push(OnceLock::from(Arc::new(shard)));
+        }
+        let (bytes, _) = encode_manifest(
+            rows.len() as u64,
+            dim as u64,
+            false,
+            shard_rows as u64,
+            &metas,
+        );
+        Ok(Self {
+            dir: None,
+            mode: ReadMode::Buffered,
+            manifest: decode_manifest(&bytes)?,
             shards,
         })
     }
@@ -164,9 +216,9 @@ impl StoreReader {
         &self.manifest
     }
 
-    /// Store directory on disk.
-    pub fn path(&self) -> &Path {
-        &self.dir
+    /// Store directory on disk; `None` for an in-memory store.
+    pub fn path(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
     /// Number of points.
@@ -187,15 +239,18 @@ impl StoreReader {
 
     /// Shard `idx`, loading and checksum-verifying it on first touch.
     pub fn shard(&self, idx: usize) -> Result<&Arc<Shard>, StoreError> {
-        if let Some(s) = self.shards[idx].get() {
+        let (Some(slot), Some(meta)) = (self.shards.get(idx), self.manifest.shards.get(idx)) else {
+            return Err(StoreError::Shape("shard index out of range"));
+        };
+        if let Some(s) = slot.get() {
             return Ok(s);
         }
-        let meta = self
-            .manifest
-            .shards
-            .get(idx)
-            .ok_or(StoreError::Shape("shard index out of range"))?;
-        let bytes = read_file(&self.dir.join(shard_file_name(idx as u32)), self.mode)?;
+        // In-memory stores load every shard at construction.
+        let dir = self
+            .dir
+            .as_ref()
+            .expect("unloaded shard of an on-disk store");
+        let bytes = read_file(&dir.join(shard_file_name(idx as u32)), self.mode)?;
         let shard = Arc::new(Shard::from_bytes(
             bytes,
             idx as u32,
@@ -204,16 +259,14 @@ impl StoreReader {
             meta,
         )?);
         // A racing loader may have won; either Arc is equally valid.
-        Ok(self.shards[idx].get_or_init(|| shard))
+        Ok(slot.get_or_init(|| shard))
     }
 
     /// Raw shard-file bytes (for serving `ShardRequest`s — the bytes
-    /// a worker needs to rebuild and verify the shard remotely).
+    /// a worker needs to rebuild and verify the shard remotely), copied
+    /// out of the loaded, checksum-verified shard.
     pub fn shard_file_bytes(&self, idx: usize) -> Result<Vec<u8>, StoreError> {
-        if idx >= self.manifest.shards.len() {
-            return Err(StoreError::Shape("shard index out of range"));
-        }
-        Ok(std::fs::read(self.dir.join(shard_file_name(idx as u32)))?)
+        Ok(self.shard(idx)?.bytes.to_vec())
     }
 
     /// Load and verify every shard. Call once before treating the
@@ -324,6 +377,41 @@ mod tests {
         assert!(r.has_labels());
         assert_eq!(r.labels().expect("labels"), Some(labels));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn in_memory_store_matches_an_on_disk_pack() {
+        for (n, shard_rows) in [(10, 4), (12, 4), (7, 64), (0, 8)] {
+            let rows = sample_rows(n, 3);
+            let dir = temp_dir("inmem");
+            pack(&dir, &rows, None, shard_rows);
+            let disk = StoreReader::open(&dir).expect("open");
+            let mem = StoreReader::from_rows(&rows, shard_rows).expect("in-memory pack");
+            assert_eq!(
+                mem.manifest(),
+                disk.manifest(),
+                "n {n} shard_rows {shard_rows}"
+            );
+            assert_eq!(mem.manifest().content_hash, disk.manifest().content_hash);
+            assert_eq!(mem.path(), None);
+            for (i, meta) in mem.manifest().shards.iter().enumerate() {
+                let served = mem.shard_file_bytes(i).expect("served shard");
+                assert_eq!(
+                    served,
+                    std::fs::read(dir.join(shard_file_name(i as u32))).unwrap()
+                );
+                let shard = Shard::from_bytes(FileBytes::Owned(served), i as u32, 3, false, meta)
+                    .expect("served shard verifies");
+                assert_eq!(shard.rows(), meta.rows as usize);
+            }
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(PointsView::row(&mem, i), row.as_slice());
+            }
+            assert!(mem.shard_file_bytes(mem.manifest().shards.len()).is_err());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(StoreReader::from_rows(&[vec![1.0, 2.0], vec![3.0]], 4).is_err());
+        assert!(StoreReader::from_rows(&[vec![1.0]], 0).is_err());
     }
 
     #[test]

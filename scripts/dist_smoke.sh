@@ -104,49 +104,41 @@ grep -q 'packed 20000 rows' "$WORK/pack.log" || fail "pack reported wrong row co
 grep -q 'checksums     all' "$WORK/inspect.log" || fail "inspect did not verify checksums"
 
 echo "== kill a worker mid-job (shard-addressed, traced) =="
-workers_roster() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "http://$HTTP_ADDR/workers"
-    else
-        python3 -c "import urllib.request; \
-            print(urllib.request.urlopen('http://$HTTP_ADDR/workers').read().decode())"
-    fi
-}
 "$DASC" cluster --data "$WORK/big.dstr" --k 6 --seed 23 \
     --dist "$ADDR" --output "$WORK/big-dist.csv" \
     --trace-out "$WORK/trace.json" >"$WORK/big-dist.log" 2>&1 &
 JOB_PID=$!
 # Pick the victim dynamically: poll the /workers roster until some
-# worker has been stuck on the SAME task across two polls (in-flight
-# task held, tasks_done unchanged ⇒ it has been executing for 100ms+,
-# long enough that the kill provably lands mid-task and the task must
-# re-queue as a retried event — not just a lost worker). Bucket sizes
-# are skewed, so which worker draws the long reduce task varies.
-VICTIM=""
-PREV=""
-for _ in $(seq 1 300); do
-    kill -0 "$JOB_PID" 2>/dev/null || break
-    CUR="$(workers_roster 2>/dev/null)" || CUR=""
-    VICTIM="$(python3 - "$PREV" "$CUR" <<'EOF'
-import json, sys
-prev_raw, cur_raw = sys.argv[1], sys.argv[2]
-try:
-    cur = json.loads(cur_raw)["workers"]
-    prev = {w["name"]: w for w in json.loads(prev_raw)["workers"]} if prev_raw else {}
-except Exception:
-    sys.exit(0)
-for w in cur:
-    p = prev.get(w["name"])
-    if p and w["in_flight"] >= 1 and p["in_flight"] >= 1 \
-            and w["tasks_done"] == p["tasks_done"]:
-        print(w["name"])
-        break
+# worker has held the SAME task (in-flight task held, tasks_done
+# unchanged) across polls at least 100 ms apart, so the kill provably
+# lands mid-task and the task must re-queue as a retried event — not
+# just a lost worker. Bucket sizes are skewed, so which worker draws
+# the long reduce task varies. One python process does the polling
+# (every 20 ms): starting an interpreter per poll took longer than
+# the long reduce task lasts. It gives up after 20 s, which only
+# happens once the job has ended without a victim.
+VICTIM="$(python3 - "http://$HTTP_ADDR/workers" <<'EOF'
+import json, sys, time, urllib.request
+url = sys.argv[1]
+# The roster is on loopback: never route it through a configured proxy.
+opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+held_since = {}
+give_up = time.monotonic() + 20
+while time.monotonic() < give_up:
+    try:
+        workers = json.loads(opener.open(url, timeout=2).read())["workers"]
+    except Exception:
+        workers = []
+    now = time.monotonic()
+    holding = {(w["name"], w["tasks_done"]) for w in workers if w["in_flight"] >= 1}
+    held_since = {key: held_since.get(key, now) for key in holding}
+    for (name, _), since in held_since.items():
+        if now - since >= 0.1:
+            print(name)
+            sys.exit(0)
+    time.sleep(0.02)
 EOF
 )"
-    [ -n "$VICTIM" ] && break
-    PREV="$CUR"
-    sleep 0.1
-done
 kill -0 "$JOB_PID" 2>/dev/null || { cat "$WORK/big-dist.log" >&2; fail "job finished before the kill — enlarge the dataset"; }
 [ -n "$VICTIM" ] || fail "never caught a worker mid-task via /workers"
 if [ "$VICTIM" = smoke-w1 ]; then

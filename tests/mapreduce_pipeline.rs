@@ -1,10 +1,10 @@
 //! Integration tests of the MapReduce substrate in combination with the
-//! DASC stages: deterministic jobs, DFS staging, elasticity replay.
+//! DASC stages: deterministic jobs, elasticity replay.
 
 use std::time::Duration;
 
 use dasc::core::{Dasc, DascConfig};
-use dasc::mapreduce::{run_job, simulate_makespan, ClusterConfig, Dfs, FnMapper, FnReducer};
+use dasc::mapreduce::{run_job, simulate_makespan, ClusterConfig, FnMapper, FnReducer};
 use dasc::prelude::*;
 
 #[test]
@@ -81,36 +81,6 @@ fn makespan_bounds_hold() {
         let lower = total.as_nanos() / slots as u128;
         assert!(m.as_nanos() * 2 >= lower, "impossibly good makespan");
     }
-}
-
-#[test]
-fn dfs_stages_bucket_files_between_jobs() {
-    let mut cfg = ClusterConfig::emr(4);
-    cfg.block_size = 128;
-    let dfs = Dfs::new(cfg);
-
-    let ds = SyntheticConfig::blobs(200, 8, 4).seed(2).generate();
-    let dasc = Dasc::new(DascConfig::for_dataset(200, 4));
-    let (_, buckets) = dasc.partition(&ds.points);
-    for (i, b) in buckets.buckets().iter().enumerate() {
-        let bytes: Vec<u8> = b
-            .members
-            .iter()
-            .flat_map(|&m| (m as u32).to_le_bytes())
-            .collect();
-        dfs.put(&format!("/stage1/bucket-{i:04}"), bytes).unwrap();
-    }
-
-    // Stage 2 reads every staged file back and recovers the partition.
-    let mut recovered = 0usize;
-    for path in dfs.list("/stage1/") {
-        let data = dfs.get(&path).unwrap();
-        assert_eq!(data.len() % 4, 0);
-        recovered += data.len() / 4;
-    }
-    assert_eq!(recovered, 200);
-    // Replication triples storage.
-    assert_eq!(dfs.total_stored_bytes(), 3 * dfs.logical_bytes());
 }
 
 #[test]
